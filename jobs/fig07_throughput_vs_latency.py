@@ -6,8 +6,7 @@ events/s per core. Paper reads: p99.99 ≈ 13 ms at 0.5 M/core rising to
 ≈ 98 ms at 2 M/core, with the knee above 1.75 M/core.
 """
 from repro.core.fluid import FluidSpec
-from repro.harness.report import table
-from repro.harness.sweep import sweep
+from repro.harness.report import Check, Figure, n_rows
 
 #: throughput per core (ev/s) -> paper's approximate p99.99 (ms)
 PAPER_P9999 = {0.5e6: 13.0, 1.0e6: 20.0, 1.5e6: 30.0, 1.75e6: 45.0, 2.0e6: 98.0}
@@ -23,10 +22,9 @@ def specs() -> list[FluidSpec]:
     ]
 
 
-def run(spark):
-    pdf = sweep(spark, specs()).sort_values("rate").reset_index(drop=True)
+def _rows(pdf) -> list[dict]:
     rows = []
-    for _, r in pdf.iterrows():
+    for _, r in pdf.sort_values("rate").iterrows():
         per_core = r["rate"] / 12
         rows.append(
             {
@@ -38,15 +36,25 @@ def run(spark):
                 "paper p99.99": PAPER_P9999.get(per_core, "—"),
             }
         )
-    md = table(
-        "Fig 7 — Q5 10 ms slide, 1 node: throughput vs latency (ms)",
-        rows,
-        ["M ev/s/core", "util", "p50", "p99", "p99.99", "paper p99.99"],
-    )
-    return pdf, md
+    return rows
 
 
-if __name__ == "__main__":
-    from _common import run_main
+def _p9999(pdf) -> list[float]:
+    """p99.99 by rising rate."""
+    return pdf.sort_values("rate")["p99_99"].tolist()
 
-    run_main(run, "fig07")
+
+FIGURE = Figure(
+    "Fig 7 — Q5 10 ms slide, 1 node: throughput vs latency (ms)",
+    specs,
+    _rows,
+    ["M ev/s/core", "util", "p50", "p99", "p99.99", "paper p99.99"],
+    (
+        n_rows(6),
+        # latencies are positive, so this also means p99.99 rises with rate
+        Check("p99.99 at 2.0 / at 0.25 M ev/s/core",
+              lambda pdf: _p9999(pdf)[-1] / _p9999(pdf)[0], lambda v: v > 3),
+        Check("p99.99 ms at 2.0 M ev/s/core (paper ~98)", lambda pdf: _p9999(pdf)[-1],
+              lambda v: v > 50),
+    ),
+)

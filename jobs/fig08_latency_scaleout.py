@@ -4,8 +4,7 @@ Paper reads: p99.99 never exceeds 16 ms (Q5 at DOP 240); simple
 queries (Q1, Q2) add almost no latency; Q5 and Q8 are the hardest.
 """
 from repro.core.fluid import FluidSpec
-from repro.harness.report import table
-from repro.harness.sweep import sweep
+from repro.harness.report import Check, Figure, n_rows
 
 QUERIES = ["q1", "q2", "q5", "q8", "q13"]
 NODES = [1, 5, 10, 20]
@@ -23,25 +22,25 @@ def specs() -> list[FluidSpec]:
     ]
 
 
-def run(spark):
-    pdf = sweep(spark, specs())
+def _rows(pdf) -> list[dict]:
+    """One row per query, one p99 column per cluster size."""
     rows = []
     for q in QUERIES:
-        sub = pdf[pdf["query"] == q].sort_values("n_nodes")
         row = {"query": q.upper()}
-        for _, r in sub.iterrows():
+        for _, r in pdf[pdf["query"] == q].sort_values("n_nodes").iterrows():
             row[f"DOP {int(r['n_nodes']) * 12}"] = f"{r['p99']:.1f}"
         row["paper"] = PAPER_NOTE[q]
         rows.append(row)
-    md = table(
-        "Fig 8 — p99 latency (ms), 1M ev/s fixed, scaling 12→240 cores",
-        rows,
-        ["query"] + [f"DOP {n * 12}" for n in NODES] + ["paper"],
-    )
-    return pdf, md
+    return rows
 
 
-if __name__ == "__main__":
-    from _common import run_main
-
-    run_main(run, "fig08")
+FIGURE = Figure(
+    "Fig 8 — p99 latency (ms), 1M ev/s fixed, scaling 12→240 cores",
+    specs,
+    _rows,
+    ["query"] + [f"DOP {n * 12}" for n in NODES] + ["paper"],
+    (
+        n_rows(20),
+        Check("worst p99.99 ms (paper <=16)", lambda pdf: pdf["p99_99"].max(), lambda v: v < 25),
+    ),
+)

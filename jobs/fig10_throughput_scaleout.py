@@ -5,8 +5,7 @@ Paper reads: 12 cores ingest ~23.4 M ev/s; 240 cores reach 468 M ev/s
 the key-set size), while p99.99 latency never exceeds 17 ms.
 """
 from repro.core.fluid import FluidSpec, max_throughput
-from repro.harness.report import table
-from repro.harness.sweep import sweep
+from repro.harness.report import Check, Figure, n_rows
 
 NODES = [1, 5, 10, 15, 20]
 
@@ -27,10 +26,9 @@ def specs() -> list[FluidSpec]:
     return out
 
 
-def run(spark):
-    pdf = sweep(spark, specs()).sort_values("n_nodes").reset_index(drop=True)
+def _rows(pdf) -> list[dict]:
     rows = []
-    for _, r in pdf.iterrows():
+    for _, r in pdf.sort_values("n_nodes").iterrows():
         cores = int(r["n_nodes"]) * 12
         rows.append(
             {
@@ -41,15 +39,24 @@ def run(spark):
                 "paper M ev/s": PAPER_MEPS.get(cores, "—"),
             }
         )
-    md = table(
-        "Fig 10 — Q5 500 ms slide: throughput scale-out (paper p99.99 <= 17 ms)",
-        rows,
-        ["cores", "max M ev/s", "per-core M ev/s", "p99.99 ms @max", "paper M ev/s"],
-    )
-    return pdf, md
+    return rows
 
 
-if __name__ == "__main__":
-    from _common import run_main
+def _max_throughput(pdf) -> list[float]:
+    """Max sustained ingest by growing cluster size."""
+    return pdf.sort_values("n_nodes")["max_throughput"].tolist()
 
-    run_main(run, "fig10")
+
+FIGURE = Figure(
+    "Fig 10 — Q5 500 ms slide: throughput scale-out (paper p99.99 <= 17 ms)",
+    specs,
+    _rows,
+    ["cores", "max M ev/s", "per-core M ev/s", "p99.99 ms @max", "paper M ev/s"],
+    (
+        n_rows(5),
+        Check("240-core ev/s (paper 468M)", lambda pdf: _max_throughput(pdf)[-1],
+              lambda v: 400e6 < v < 560e6),
+        Check("240-core / 12-core ev/s",
+              lambda pdf: _max_throughput(pdf)[-1] / _max_throughput(pdf)[0], lambda v: v > 16),
+    ),
+)

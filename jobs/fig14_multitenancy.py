@@ -5,8 +5,7 @@ aggregate 1 M ev/s; tasklets make jobs cheap, so latency degrades
 gracefully (scheduling rounds lengthen) instead of collapsing.
 """
 from repro.core.fluid import FluidSpec
-from repro.harness.report import table
-from repro.harness.sweep import sweep
+from repro.harness.report import Check, Figure, n_rows
 
 JOB_COUNTS = [1, 10, 50, 100]
 PAPER = {100: "~200"}
@@ -20,9 +19,8 @@ def specs() -> list[FluidSpec]:
     ]
 
 
-def run(spark):
-    pdf = sweep(spark, specs()).sort_values("n_jobs").reset_index(drop=True)
-    rows = [
+def _rows(pdf) -> list[dict]:
+    return [
         {
             "concurrent jobs": int(r["n_jobs"]),
             "p50": f"{r['p50']:.1f}",
@@ -30,17 +28,19 @@ def run(spark):
             "p99.99": f"{r['p99_99']:.1f}",
             "paper p99.99": PAPER.get(int(r["n_jobs"]), "—"),
         }
-        for _, r in pdf.iterrows()
+        for _, r in pdf.sort_values("n_jobs").iterrows()
     ]
-    md = table(
-        "§7.7 — multi-tenancy: N concurrent Q5 jobs, 1 node, 1M ev/s aggregate (ms)",
-        rows,
-        ["concurrent jobs", "p50", "p99", "p99.99", "paper p99.99"],
-    )
-    return pdf, md
 
 
-if __name__ == "__main__":
-    from _common import run_main
-
-    run_main(run, "fig14")
+FIGURE = Figure(
+    "§7.7 — multi-tenancy: N concurrent Q5 jobs, 1 node, 1M ev/s aggregate (ms)",
+    specs,
+    _rows,
+    ["concurrent jobs", "p50", "p99", "p99.99", "paper p99.99"],
+    (
+        n_rows(4),
+        Check("100-job p99.99 ms (paper ~200)",
+              lambda pdf: pdf[pdf["n_jobs"] == 100]["p99_99"].iloc[0],
+              lambda v: 120 < v < 350),
+    ),
+)

@@ -392,8 +392,9 @@ class JetEngine:
         if sid is None:
             self._last_snap_ms = self.now
             return  # cold restart from offset 0 with empty state
-        # keyed state: merge partials per record key, re-route by the
-        # current partition table, restore per instance
+        # keyed state: merge partials per record key, re-route every entry
+        # by the current partition table (the same in every process),
+        # restore per instance
         for vname, v in self.dag.vertices.items():
             if v.merge is None:
                 continue
@@ -401,11 +402,9 @@ class JetEngine:
             for (_inst, key), val in self._snap_map(sid, vname).entry_set():
                 merged[key] = v.merge(merged[key], val) if key in merged else val
             n_inst = self._n_inst(vname)
-            in_part = [e for e in self.dag.in_edges(vname) if e.routing == "partitioned"]
             per_inst: dict[int, dict] = {}
             for key, val in merged.items():
-                rk = v.state_record_key(key)
-                inst = self._route_key(rk, n_inst) if in_part else hash(repr(rk)) % n_inst
+                inst = self._route_key(v.state_record_key(key), n_inst)
                 per_inst.setdefault(inst, {})[key] = val
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)

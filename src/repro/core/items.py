@@ -46,8 +46,3 @@ class Barrier:
 @dataclass(frozen=True)
 class EndOfStream:
     """The producing instance has no further items."""
-
-
-def is_control(item) -> bool:
-    """True for in-band control items (watermarks, barriers, EOS)."""
-    return isinstance(item, (Watermark, Barrier, EndOfStream))

@@ -70,27 +70,6 @@ class Processor:
 # --------------------------------------------------------------------------
 
 
-class MapProcessor(Processor):
-    """Stateless 1→1 transform; ``fn`` returning None drops the event."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def process(self, ev: Event, ordinal: int) -> list[Event]:
-        out = self.fn(ev.payload)
-        return [ev.with_payload(out)] if out is not None else []
-
-
-class FilterProcessor(Processor):
-    """Stateless predicate filter."""
-
-    def __init__(self, pred: Callable[[Any], bool]):
-        self.pred = pred
-
-    def process(self, ev: Event, ordinal: int) -> list[Event]:
-        return [ev] if self.pred(ev.payload) else []
-
-
 class FusedProcessor(Processor):
     """Chain of fused stateless stages (operator chaining, §3.1).
 
@@ -114,46 +93,6 @@ class FusedProcessor(Processor):
             else:  # pragma: no cover - guarded at pipeline build time
                 raise ValueError(kind)
         return [ev.with_payload(p)]
-
-
-# --------------------------------------------------------------------------
-# Aggregate operations (used by both window stages)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AggOp:
-    """Commutative-associative aggregate: create/add/combine/finish."""
-
-    create: Callable[[], Any]
-    add: Callable[[Any, Any], Any]
-    combine: Callable[[Any, Any], Any]
-    finish: Callable[[Any], Any]
-
-
-def counting() -> AggOp:
-    """COUNT(*) aggregate (Q5's per-auction bid count)."""
-    return AggOp(lambda: 0, lambda acc, _p: acc + 1, lambda a, b: a + b, lambda a: a)
-
-
-def summing(value_fn: Callable[[Any], float]) -> AggOp:
-    """SUM(value_fn(payload)) aggregate."""
-    return AggOp(
-        lambda: 0.0,
-        lambda acc, p: acc + value_fn(p),
-        lambda a, b: a + b,
-        lambda a: a,
-    )
-
-
-def maxing(value_fn: Callable[[Any], float]) -> AggOp:
-    """MAX(value_fn(payload)) aggregate (Q7's highest bid)."""
-    return AggOp(
-        lambda: None,
-        lambda acc, p: value_fn(p) if acc is None else max(acc, value_fn(p)),
-        lambda a, b: b if a is None else (a if b is None else max(a, b)),
-        lambda a: a,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ these are wait-free ring buffers; under the simulator's cooperative
 scheduling there is no real concurrency, so a deque with a capacity
 check reproduces the *behavioural* contract that matters for the
 experiments: ``offer`` fails when full (local backpressure, §3.3) and
-``poll``/``drain`` never block.
+``poll`` never blocks.
 
 :class:`NetworkChannel` decorates a queue with link latency and
 credit-based flow control, modelling the distributed-edge receive
@@ -38,22 +38,8 @@ class SPSCQueue:
         """Dequeue one item, or None when empty."""
         return self._q.popleft() if self._q else None
 
-    def peek(self):
-        return self._q[0] if self._q else None
-
-    def drain(self, max_items: int) -> list:
-        """Dequeue up to ``max_items`` items (consumer-side batching)."""
-        out = []
-        while self._q and len(out) < max_items:
-            out.append(self._q.popleft())
-        return out
-
     def __len__(self) -> int:
         return len(self._q)
-
-    @property
-    def remaining(self) -> int:
-        return self.capacity - len(self._q)
 
 
 class NetworkChannel:
@@ -109,10 +95,6 @@ class NetworkChannel:
         self._consumed_since_ack += 1
         self.received += 1
         return self._ready.popleft()
-
-    def peek(self, now_ms: float):
-        self._promote(now_ms)
-        return self._ready[0] if self._ready else None
 
     def maybe_ack(self, now_ms: float) -> None:
         """Consumer-side credit grant, every ``ack_interval_ms``.

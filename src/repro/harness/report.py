@@ -1,18 +1,13 @@
-"""Result-table rendering for the per-figure harnesses.
+"""Table-driven figure declarations and their markdown tables.
 
-Each figure job produces rows ``(label, metric -> value)`` plus the
-paper's reference number for the same cell, so EXPERIMENTS.md can be
-regenerated by running the jobs and diffing columns.
+Every figure of the evaluation is one :class:`Figure`: the ``FluidSpec``
+sweep it runs, how a result frame becomes display rows (paper reference
+cells included), the table it prints, and the checks its numbers must
+pass. ``jobs/run_figure.py`` runs any figure; the figure test and
+benchmark both evaluate the same checks.
 """
-import pandas as pd
-
-
-def fmt_ms(v: float) -> str:
-    return f"{v:,.1f} ms" if v < 1000 else f"{v / 1000:,.2f} s"
-
-
-def fmt_meps(v: float) -> str:
-    return f"{v / 1e6:,.1f}M ev/s"
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 
 def table(title: str, rows: list[dict], columns: list[str]) -> str:
@@ -25,13 +20,38 @@ def table(title: str, rows: list[dict], columns: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def print_table(title: str, rows: list[dict], columns: list[str]) -> None:
-    print(table(title, rows, columns))
+class Check(NamedTuple):
+    """One assertion on a figure's sweep result: ``holds(value(pdf))``."""
+
+    label: str
+    value: Callable[[Any], float]
+    holds: Callable[[float], bool]
 
 
-def df_rows(pdf: pd.DataFrame, cols: dict[str, str]) -> list[dict]:
-    """Project a result frame into display rows. ``cols`` maps output
-    column name -> source column (values passed through ``str``)."""
-    return [
-        {out: row[src] for out, src in cols.items()} for _, row in pdf.iterrows()
-    ]
+def n_rows(n: int) -> Check:
+    """The sweep returned one row for each of the figure's ``n`` specs."""
+    return Check("result rows", len, lambda v: v == n)
+
+
+@dataclass(frozen=True)
+class Figure:
+    """A figure: sweep ``specs()``, show ``rows(pdf)``, assert ``checks``."""
+
+    title: str
+    specs: Callable[[], list]
+    rows: Callable[[Any], list[dict]]
+    columns: list[str]
+    checks: tuple[Check, ...]
+
+    def table(self, pdf) -> str:
+        return table(self.title, self.rows(pdf), self.columns)
+
+    def check(self, pdf) -> dict[str, float]:
+        """Each check's measured value by label; raises naming every
+        check that fails."""
+        values = {c.label: float(c.value(pdf)) for c in self.checks}
+        failed = [f"{c.label} = {values[c.label]}" for c in self.checks
+                  if not c.holds(values[c.label])]
+        if failed:
+            raise AssertionError(f"{self.title}: " + "; ".join(failed))
+        return values

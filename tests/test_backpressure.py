@@ -3,7 +3,7 @@ credit-based network receive window, unit level and end to end."""
 import pytest
 
 from repro.core.engine import JetEngine, SimConfig
-from repro.core.queues import NetworkChannel, SPSCQueue
+from repro.core.queues import NetworkChannel
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
 
@@ -42,13 +42,6 @@ def test_network_counts_traffic():
     ch.poll(0.0)
     assert (ch.sent, ch.received) == (2, 1)
     assert len(ch) == 1
-
-
-def test_spsc_peek_nondestructive():
-    q = SPSCQueue(4)
-    q.offer("a")
-    assert q.peek() == "a"
-    assert len(q) == 1
 
 
 @pytest.mark.parametrize("capacity,inbox", [(4, 2), (16, 8), (1024, 256)])

@@ -3,27 +3,12 @@ import pytest
 
 from repro.core.dag import DAG, Edge, SourceVertex, Vertex
 from repro.core.gc_model import G1_TUNED, STW_BASELINE, PauseTracker, pause_schedule
-from repro.core.items import Barrier, EndOfStream, Event, Watermark, is_control
+from repro.core.items import Event
 from repro.core.pipeline import Pipeline
-from repro.core.processors import (
-    FilterProcessor,
-    FusedProcessor,
-    MapProcessor,
-    PaneAccumulator,
-    WindowCombiner,
-    WindowTop,
-    counting,
-    maxing,
-    summing,
-)
+from repro.core.processors import FusedProcessor, PaneAccumulator, WindowCombiner, WindowTop
 from repro.core.queues import NetworkChannel, SPSCQueue
 
 # -- items --------------------------------------------------------------
-
-
-def test_control_item_classification():
-    assert is_control(Watermark(3)) and is_control(Barrier(1)) and is_control(EndOfStream())
-    assert not is_control(Event({"a": 1}, 5))
 
 
 def test_event_with_payload_keeps_ts():
@@ -48,15 +33,6 @@ def test_spsc_capacity_backpressure():
     assert not q.offer(99)  # full -> producer must back off
     q.poll()
     assert q.offer(99)
-
-
-def test_spsc_drain_batches():
-    q = SPSCQueue(16)
-    for i in range(10):
-        q.offer(i)
-    assert q.drain(4) == [0, 1, 2, 3]
-    assert len(q) == 6
-    assert q.remaining == 10
 
 
 # -- network channel: latency + credits (§3.3) --------------------------
@@ -89,38 +65,17 @@ def test_network_ack_respects_interval():
     assert ch.credits > 0
 
 
-# -- aggregate ops ------------------------------------------------------
-
-
-def test_counting_op():
-    op = counting()
-    acc = op.create()
-    for _ in range(5):
-        acc = op.add(acc, None)
-    assert op.finish(op.combine(acc, 2)) == 7
-
-
-def test_summing_and_maxing_ops():
-    s = summing(lambda p: p["v"])
-    acc = s.add(s.add(s.create(), {"v": 2.0}), {"v": 3.5})
-    assert s.finish(acc) == 5.5
-    m = maxing(lambda p: p["v"])
-    acc = m.add(m.create(), {"v": 2.0})
-    assert m.finish(m.combine(acc, None)) == 2.0
-    assert m.finish(m.combine(None, acc)) == 2.0
-
-
 # -- stateless processors & fusion --------------------------------------
 
 
 def test_map_processor_drops_none():
-    p = MapProcessor(lambda x: x * 2 if x < 3 else None)
+    p = FusedProcessor([("map", lambda x: x * 2 if x < 3 else None)])
     assert p.process(Event(2, 0), 0) == [Event(4, 0)]
     assert p.process(Event(5, 0), 0) == []
 
 
 def test_filter_processor():
-    p = FilterProcessor(lambda x: x % 2 == 0)
+    p = FusedProcessor([("filter", lambda x: x % 2 == 0)])
     assert p.process(Event(4, 0), 0) == [Event(4, 0)]
     assert p.process(Event(5, 0), 0) == []
 
@@ -129,7 +84,7 @@ def test_fused_processor_chains_in_order():
     p = FusedProcessor(
         [("map", lambda x: x + 1), ("filter", lambda x: x % 2 == 0), ("map", lambda x: x * 10)]
     )
-    assert p.process(Event(1, 0), 0) == [Event(20, 0)]
+    assert p.process(Event(1, 7), 0) == [Event(20, 7)]  # keeps the event time
     assert p.process(Event(2, 0), 0) == []
 
 
@@ -228,7 +183,7 @@ def test_window_combiner_state_roundtrip():
 
 
 def _dummy_vertex(name):
-    return Vertex(name, lambda ctx, k: MapProcessor(lambda x: x))
+    return Vertex(name, lambda ctx, k: FusedProcessor([]))
 
 
 def test_dag_rejects_unknown_edge_endpoints():

@@ -6,6 +6,10 @@ failure-free run — no loss, no duplicates — because the job restores
 from the last completed IMDG snapshot, replays the replayable sources
 from their snapshotted offsets, and deduplicates sink re-commits.
 """
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -176,6 +180,51 @@ def test_double_crash_still_exactly_once(data):
     crashed.run(fail_at=[(500, 0), (900, 1)])
     assert crashed.metrics.recoveries == 2
     assert multiset(crashed.results(), Q5_COLS) == multiset(clean.results(), Q5_COLS)
+
+
+#: Q5 exactly-once with a crash; prints each PaneAccumulator instance's
+#: keys right after the restore, and the job's output
+_RESTORE_RUN = """
+import json
+from repro.core.engine import JetEngine, SimConfig
+from repro.core.processors import PaneAccumulator
+from repro.nexmark import generator as gen
+from repro.nexmark import queries_jet as qj
+
+data = gen.generate(rate=3_000, duration_s=1.2, n_keys=150, seed=31)
+eng = JetEngine(qj.q5_pipeline(size_ms=1_000, slide_ms=250).compile(),
+                {"bids": qj.bid_events(data)}, n_nodes=2,
+                cfg=SimConfig(threads_per_node=2, guarantee="exactly-once",
+                              snapshot_interval_ms=250))
+restored = {}
+
+def fail_node(node_idx):
+    JetEngine.fail_node(eng, node_idx)
+    restored.update({
+        f"{v}#{k}": sorted(map(repr, p.save_keyed()))
+        for (v, k), p in eng.procs.items() if isinstance(p, PaneAccumulator)
+    })
+
+eng.fail_node = fail_node
+eng.run(fail_at=[(600, 1)])
+print(json.dumps({"restored": restored, "output": [repr(r) for r in eng.results()]}))
+"""
+
+
+def test_restored_keyed_state_routing_ignores_hash_seed():
+    """Restored keyed entries go to the same instances whatever Python's
+    string-hash salt, so a recovered run is deterministic."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.join(root, "src"))
+        out = subprocess.run([sys.executable, "-c", _RESTORE_RUN], env=env, cwd=root,
+                             capture_output=True, text=True, check=True, timeout=300)
+        runs.append(json.loads(out.stdout))
+    assert sum(map(len, runs[0]["restored"].values())) > 0
+    assert runs[0]["restored"] == runs[1]["restored"]
+    assert runs[0]["output"] == runs[1]["output"]
 
 
 def test_snapshot_state_survives_in_imdg_replicas(q5_clean):

@@ -1,14 +1,22 @@
-"""Harness (Spark-driven sweep) and per-figure job tests."""
+"""Harness (Spark-driven sweep), figure registry and job tests."""
+import hashlib
+import importlib
+import json
 import os
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from repro.core.fluid import FluidSpec, simulate
-from repro.harness.report import df_rows, fmt_meps, fmt_ms, table
+from repro.harness.report import table
 from repro.harness.sweep import RESULT_COLS, specs_to_pdf, sweep
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "jobs"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "jobs"))
+
+from figures import FIGURES  # noqa: E402
+from run_figure import run  # noqa: E402
 
 
 # -- sweep --------------------------------------------------------------
@@ -46,64 +54,73 @@ def test_table_renders_markdown():
     assert "### T" in md and "| a | b |" in md and "| 1 | 2 |" in md
 
 
-def test_formatters():
-    assert fmt_ms(12.34) == "12.3 ms"
-    assert fmt_ms(2000) == "2.00 s"
-    assert fmt_meps(23.4e6) == "23.4M ev/s"
+# -- figure registry ------------------------------------------------------
 
 
-def test_df_rows_projection():
-    import pandas as pd
+#: figure id -> test id: the figure's job name and its row count
+JOB_IDS = {
+    "fig07": "fig07_throughput_vs_latency-6",
+    "fig08": "fig08_latency_scaleout-20",
+    "fig09": "fig09_latency_distribution-5",
+    "fig10": "fig10_throughput_scaleout-5",
+    "fig11": "fig11_latency_5nodes-5",
+    "fig12": "fig12_latency_10nodes-5",
+    "fig13": "fig13_fault_tolerance-2",
+    "fig14": "fig14_multitenancy-4",
+    "baselines": "baseline_schedulers-4",
+}
 
-    pdf = pd.DataFrame({"x": [1, 2], "y": [3, 4]})
-    assert df_rows(pdf, {"col": "x"}) == [{"col": 1}, {"col": 2}]
+_RESULTS: dict = {}
 
 
-# -- figure jobs (each returns a result frame + markdown table) ----------
+def _run(spark, fig_id):
+    """Each figure's (result frame, table), swept once per test session."""
+    if fig_id not in _RESULTS:
+        _RESULTS[fig_id] = run(spark, FIGURES[fig_id])
+    return _RESULTS[fig_id]
 
 
-@pytest.mark.parametrize(
-    "mod_name,n_rows",
-    [
-        ("fig07_throughput_vs_latency", 6),
-        ("fig08_latency_scaleout", 20),
-        ("fig09_latency_distribution", 5),
-        ("fig10_throughput_scaleout", 5),
-        ("fig11_latency_5nodes", 5),
-        ("fig12_latency_10nodes", 5),
-        ("fig13_fault_tolerance", 2),
-        ("fig14_multitenancy", 4),
-        ("baseline_schedulers", 4),
-    ],
-)
-def test_job_produces_table(spark, mod_name, n_rows):
-    mod = __import__(mod_name)
-    pdf, md = mod.run(spark)
-    assert len(pdf) == n_rows
+@pytest.mark.parametrize("fig_id", [pytest.param(f, id=JOB_IDS[f]) for f in FIGURES])
+def test_job_produces_table(spark, fig_id):
+    pdf, md = _run(spark, fig_id)
     assert md.startswith("###") and md.count("|") > 10
+    FIGURES[fig_id].check(pdf)
 
 
 def test_fig07_shape_monotone(spark):
-    mod = __import__("fig07_throughput_vs_latency")
-    pdf, _ = mod.run(spark)
+    pdf, _ = _run(spark, "fig07")
     p = pdf.sort_values("rate")["p99_99"].tolist()
     assert p[0] < p[-1]
     assert p[-1] > 50  # saturation tail
 
 
 def test_fig10_shape_linear(spark):
-    mod = __import__("fig10_throughput_scaleout")
-    pdf, _ = mod.run(spark)
+    pdf, _ = _run(spark, "fig10")
     t = pdf.sort_values("n_nodes")["max_throughput"].tolist()
     assert t[-1] / t[0] > 16
 
 
 def test_fig13_ft_much_slower_than_no_ft(spark):
-    mod = __import__("fig13_fault_tolerance")
-    pdf, _ = mod.run(spark)
+    pdf, _ = _run(spark, "fig13")
     ft = pdf[pdf["guarantee"] == "exactly-once"]["p99_99"].iloc[0]
     no = pdf[pdf["guarantee"] != "exactly-once"]["p99_99"].iloc[0]
     assert ft > 10 * no
+
+
+#: sha256 of the JSON of the 37 specs the benchmark's sweep was baselined on
+BENCHMARK_SPECS_SHA256 = "eef70282f2857fff9f44f40c3ea056a12877b5b33f4383236b72e954d50e6bf7"
+
+
+def test_benchmark_figure_jobs_keep_their_specs(monkeypatch):
+    """``perfbench`` imports each of its ``FIGURE_JOBS`` from jobs/ and
+    sweeps their ``specs()``: those must stay the same specs, in order."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import FIGURE_JOBS
+
+    specs = [s for job in FIGURE_JOBS for s in importlib.import_module(job).specs()]
+    assert len(specs) == 37
+    blob = json.dumps([asdict(s) for s in specs], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == BENCHMARK_SPECS_SHA256
 
 
 def test_exact_engine_validation_job(spark):

@@ -103,4 +103,4 @@ def test_spsc_queue_preserves_order_and_capacity(items, cap):
     q = SPSCQueue(cap)
     accepted = [x for x in items if q.offer(x)]
     assert len(accepted) == min(len(items), cap)
-    assert q.drain(100) == accepted
+    assert [q.poll() for _ in accepted] == accepted and q.poll() is None
