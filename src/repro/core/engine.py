@@ -408,7 +408,8 @@ class JetEngine:
                 per_inst.setdefault(inst, {})[key] = val
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)
-        # instance state: source offsets, combiner emit cursors, sink epochs
+        # instance state: source offsets, combiner emit cursors, join build
+        # flags, sink epochs
         im = self._inst_map(sid)
         for (vname, k), st in im.entry_set():
             if (vname, k) in self.source_tasklets:

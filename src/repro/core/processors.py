@@ -13,6 +13,7 @@ partial accumulators from different instances can be merged on restore;
 instance-local state (source offsets, sink epochs) via
 ``save_inst``/``restore_inst``.
 """
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -122,6 +123,46 @@ class WindowResult:
     emit_ms: float
 
 
+class PaneIndex:
+    """Keyed partials indexed by pane: ``pane_start -> {key: acc}``.
+
+    ``starts`` keeps the live pane starts sorted, so the window stages
+    find complete and dead panes by bisection instead of scanning every
+    entry. :meth:`entries` is the flat
+    ``{(key, pane_start): acc}`` form that snapshots store.
+    """
+
+    def __init__(self, entries: dict | None = None):
+        self.panes: dict[int, dict[Any, Any]] = {}
+        self.starts: list[int] = []
+        for (key, pane), acc in (entries or {}).items():
+            self.add(key, pane, acc)
+
+    def add(self, key, pane: int, acc) -> None:
+        per_key = self.panes.get(pane)
+        if per_key is None:
+            per_key = self.panes[pane] = {}
+            insort(self.starts, pane)
+        cur = per_key.get(key)
+        per_key[key] = acc if cur is None else cur + acc
+
+    def first_from(self, lo: int) -> int | None:
+        """The earliest live pane starting at or after ``lo``."""
+        i = bisect_left(self.starts, lo)
+        return self.starts[i] if i < len(self.starts) else None
+
+    def pop_through(self, last: int) -> list[tuple[int, dict]]:
+        """Remove the panes starting at or before ``last``; return them
+        in pane order."""
+        i = bisect_right(self.starts, last)
+        out = [(p, self.panes.pop(p)) for p in self.starts[:i]]
+        del self.starts[:i]
+        return out
+
+    def entries(self) -> dict:
+        return {(key, p): acc for p, per_key in self.panes.items() for key, acc in per_key.items()}
+
+
 class PaneAccumulator(Processor):
     """Stage 1: accumulate events into slide-aligned panes per key.
 
@@ -134,29 +175,25 @@ class PaneAccumulator(Processor):
     def __init__(self, key_fn: Callable[[Any], Any], slide_ms: int):
         self.key_fn = key_fn
         self.slide_ms = slide_ms
-        self.acc: dict[tuple[Any, int], int] = {}
+        self.panes = PaneIndex()
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
         pane = (ev.ts_ms // self.slide_ms) * self.slide_ms
-        k = (self.key_fn(ev.payload), pane)
-        self.acc[k] = self.acc.get(k, 0) + 1
+        self.panes.add(self.key_fn(ev.payload), pane, 1)
         return []
 
     def on_watermark(self, wm: int) -> list[Event]:
         out = []
-        for (key, pane), acc in sorted(
-            ((k, a) for k, a in self.acc.items() if k[1] + self.slide_ms <= wm),
-            key=lambda kv: (kv[0][1], repr(kv[0][0])),
-        ):
-            out.append(Event(PaneRecord(key, pane, acc), pane + self.slide_ms - 1))
-            del self.acc[(key, pane)]
+        for pane, per_key in self.panes.pop_through(wm - self.slide_ms):
+            for key in sorted(per_key, key=repr):
+                out.append(Event(PaneRecord(key, pane, per_key[key]), pane + self.slide_ms - 1))
         return out
 
     def save_keyed(self) -> dict:
-        return dict(self.acc)
+        return self.panes.entries()
 
     def restore_keyed(self, entries: dict) -> None:
-        self.acc = dict(entries)
+        self.panes = PaneIndex(entries)
 
     @staticmethod
     def merge(a, b):
@@ -170,6 +207,11 @@ class WindowCombiner(Processor):
     watermark passes a window's end, every key with data in that window
     emits a :class:`WindowResult`; ``on_trigger`` (engine-injected)
     records the §7.1 latency sample ``now_ms - window_end``.
+
+    Window ends are walked forward from ``emitted_upto``. A running sum
+    holds the window ending at ``_end``: moving one slide adds the pane
+    entering the window and subtracts the pane leaving it, so one window
+    end costs the keys of two panes, not those of ``size/slide`` panes.
     """
 
     def __init__(
@@ -183,61 +225,96 @@ class WindowCombiner(Processor):
         self.size_ms = size_ms
         self.slide_ms = slide_ms
         self.on_trigger = on_trigger
-        self.panes: dict[tuple[Any, int], int] = {}
+        self.panes = PaneIndex()
         #: max window end already emitted — guards against re-emission
         #: across watermark advances and across snapshot restore
         self.emitted_upto = -1
+        #: per-key sum of the live panes in ``[_end - size, _end)``;
+        #: ``_end`` is None until rebuilt from the panes
+        self._end: int | None = None
+        self._sum: dict[Any, int] = {}
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
         r: PaneRecord = ev.payload
-        k = (r.key, r.pane_start)
-        cur = self.panes.get(k)
-        self.panes[k] = r.acc if cur is None else cur + r.acc
+        self.panes.add(r.key, r.pane_start, r.acc)
+        if self._end is not None and self._end - self.size_ms <= r.pane_start < self._end:
+            self._add({r.key: r.acc})
         return []
 
+    def _add(self, per_key: dict) -> None:
+        s = self._sum
+        for key, acc in per_key.items():
+            cur = s.get(key)
+            s[key] = acc if cur is None else cur + acc
+
+    def _subtract(self, per_key: dict) -> None:
+        s = self._sum
+        for key, acc in per_key.items():
+            left = s[key] - acc
+            if left:
+                s[key] = left
+            else:
+                del s[key]
+
+    def _slide_to(self, end: int) -> None:
+        """Move the running sum to the window ``[end - size, end)``."""
+        size, panes = self.size_ms, self.panes.panes
+        if self._end is None or end - self._end >= size:
+            self._sum = {}
+            entering, leaving = range(end - size, end, self.slide_ms), ()
+        else:
+            entering = range(self._end, end, self.slide_ms)
+            leaving = range(self._end - size, end - size, self.slide_ms)
+        for p in entering:
+            if p in panes:
+                self._add(panes[p])
+        for p in leaving:
+            if p in panes:
+                self._subtract(panes[p])
+        self._end = end
+
     def on_watermark(self, wm: int) -> list[Event]:
-        # windows [s, s+size) with s+size <= wm are complete; a pane at p
-        # participates in every window ending at p+slide .. p+size
+        # windows [s, s+size) with s+size <= wm are complete; ends are
+        # slide-aligned, and a window holds data iff a pane lies in it
         out = []
-        n = self.size_ms // self.slide_ms
-        complete_ends = sorted(
-            {
-                p + i * self.slide_ms
-                for (_k, p) in self.panes
-                for i in range(1, n + 1)
-                if self.emitted_upto < p + i * self.slide_ms <= wm
-            }
-        )
-        for end in complete_ends:
-            start = end - self.size_ms
-            per_key: dict[Any, int] = {}
-            for (key, pane), acc in self.panes.items():
-                if start <= pane < end:
-                    per_key[key] = per_key.get(key, 0) + acc
+        size, slide = self.size_ms, self.slide_ms
+        end = (self.emitted_upto // slide + 1) * slide
+        while end <= wm:
+            first = self.panes.first_from(end - size)
+            if first is None:
+                break
+            end = max(end, first + slide)  # skip windows holding no pane
+            if end > wm:
+                break
+            self._slide_to(end)
             # a WM_MAX flush is an end-of-stream drain, not a §7.1
             # latency-clock trigger (those windows never close in an
             # unbounded stream)
-            if self.on_trigger is not None and per_key and wm < WM_MAX:
+            if self.on_trigger is not None and wm < WM_MAX:
                 self.on_trigger(end, self.now_ms)
+            per_key = self._sum
             for key in sorted(per_key, key=repr):
                 out.append(
                     Event(
-                        WindowResult(start, end, key, per_key[key], self.now_ms),
+                        WindowResult(end - size, end, key, per_key[key], self.now_ms),
                         end - 1,
                     )
                 )
+            end += slide
         self.emitted_upto = max(self.emitted_upto, wm)
         # a pane p is dead once its last containing window ([p, p+size))
         # has been emitted
-        for k in [k for k in self.panes if k[1] + self.size_ms <= self.emitted_upto]:
-            del self.panes[k]
+        for p, dead in self.panes.pop_through(self.emitted_upto - size):
+            if self._end is not None and self._end - size <= p < self._end:
+                self._subtract(dead)
         return out
 
     def save_keyed(self) -> dict:
-        return dict(self.panes)
+        return self.panes.entries()
 
     def restore_keyed(self, entries: dict) -> None:
-        self.panes = dict(entries)
+        self.panes = PaneIndex(entries)
+        self._end = None
 
     @staticmethod
     def merge(a, b):
@@ -249,6 +326,7 @@ class WindowCombiner(Processor):
     def restore_inst(self, state) -> None:
         if state is not None:
             self.emitted_upto = state
+        self._end = None
 
 
 class WindowTop(Processor):
@@ -398,7 +476,13 @@ class HashJoin(Processor):
 
     def restore_keyed(self, entries: dict) -> None:
         self.table = dict(entries)
-        self.built = bool(entries)
+
+    def save_inst(self):
+        return self.built
+
+    def restore_inst(self, state) -> None:
+        if state is not None:
+            self.built = state
 
     @staticmethod
     def merge(a, b):

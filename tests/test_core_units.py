@@ -5,7 +5,13 @@ from repro.core.dag import DAG, Edge, SourceVertex, Vertex
 from repro.core.gc_model import G1_TUNED, STW_BASELINE, PauseTracker, pause_schedule
 from repro.core.items import Event
 from repro.core.pipeline import Pipeline
-from repro.core.processors import FusedProcessor, PaneAccumulator, WindowCombiner, WindowTop
+from repro.core.processors import (
+    FusedProcessor,
+    HashJoin,
+    PaneAccumulator,
+    WindowCombiner,
+    WindowTop,
+)
 from repro.core.queues import NetworkChannel, SPSCQueue
 
 # -- items --------------------------------------------------------------
@@ -177,6 +183,19 @@ def test_window_combiner_state_roundtrip():
     c2.restore_inst(inst)
     out = c2.on_watermark(30)
     assert {(r.payload.window_start, r.payload.value) for r in out} == {(-10, 2), (0, 2)}
+
+
+def test_hash_join_restore_of_empty_built_side_keeps_it_built():
+    def join():
+        return HashJoin(lambda b: b["k"], lambda p: p["k"], lambda p, b: (p, b))
+
+    j = join()
+    j.on_input_done(0)  # build side ended without a single row
+    snap, inst = j.save_keyed(), j.save_inst()
+    j2 = join()
+    j2.restore_keyed(snap)
+    j2.restore_inst(inst)
+    assert j2.wanted_ordinal() is None  # probes flow; no wait on the build edge
 
 
 # -- DAG validation -----------------------------------------------------

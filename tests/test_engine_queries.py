@@ -4,6 +4,8 @@ Spark↔DuckDB equivalence is covered in ``test_queries_batch``; these
 tests close the triangle by asserting engine↔DuckDB equality on the
 same generated input, across cluster shapes and out-of-orderness.
 """
+import hashlib
+
 import duckdb
 import pytest
 
@@ -87,6 +89,46 @@ def test_q5_engine_matches_duckdb(data, size_ms, slide_ms):
     got = rows_set(eng.results(), ["window_start", "auction", "n_bids"])
     want = duck(q5_sql(size_ms=size_ms, slide_ms=slide_ms), bids=data.bids)
     assert got == want
+
+
+def test_q5_engine_at_fig7_window_geometry():
+    """Fig 7's 10 s window sliding every 10 ms (1,000 panes per window),
+    at a low rate and long enough that windows close before the flush."""
+    d = gen.generate(rate=200, duration_s=11.0, n_keys=50, seed=7)
+    eng = JetEngine(
+        qj.q5_pipeline(size_ms=10_000, slide_ms=10).compile(),
+        {"bids": qj.bid_events(d)},
+        n_nodes=2,
+        cfg=SimConfig(**CFG),
+    )
+    m = eng.run()
+    assert m.trigger_latencies, "windows must close while the stream runs"
+    got = rows_set(eng.results(), ["window_start", "auction", "n_bids"])
+    assert got == duck(q5_sql(size_ms=10_000, slide_ms=10), bids=d.bids)
+
+
+#: sha256 of the output rows and trigger latencies of the two Q5 runs
+#: below, pinned from the engine before window state was pane-indexed:
+#: a change to either the results or the simulated timing moves it
+Q5_GOLDEN_SHA256 = "18721ba1ddc1a678af2f4410de084545227a045bd336eb40c37f17e1b6f19805"
+
+
+def test_q5_golden_trace(data):
+    runs = []
+    for size_ms, slide_ms, extra, fail_at in (
+        (2_000, 500, {}, None),
+        (1_000, 250, dict(guarantee="exactly-once", snapshot_interval_ms=250), [(600, 1)]),
+    ):
+        eng = JetEngine(
+            qj.q5_pipeline(size_ms=size_ms, slide_ms=slide_ms).compile(),
+            {"bids": qj.bid_events(data)},
+            n_nodes=2,
+            cfg=SimConfig(**CFG, **extra),
+        )
+        m = eng.run(fail_at=fail_at)
+        runs.append((sorted(sorted(r.items()) for r in eng.results()), m.trigger_latencies))
+    assert m.recoveries == 1
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == Q5_GOLDEN_SHA256
 
 
 def test_q5_engine_with_out_of_order_input():

@@ -1,6 +1,6 @@
 """Property-based tests: the two-stage windowing pipeline equals a
 brute-force sliding-window count on arbitrary inputs (hypothesis)."""
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.items import WM_MAX, Event
@@ -27,17 +27,26 @@ def brute_force(events, size, slide):
     return out
 
 
-def run_two_stage(events, size, slide, *, n_partials=1, wm_steps=None):
-    """Drive stage1 instances -> one combiner; return emitted counts."""
+def run_two_stage(events, size, slide, *, n_partials=1, wm_steps=None, restore_at=None):
+    """Drive stage1 instances -> one combiner; return emitted counts.
+
+    At watermark step ``restore_at`` the combiner is saved and restored
+    into a fresh instance before it sees that watermark, as on recovery
+    from a snapshot."""
     accs = [PaneAccumulator(lambda p: p["k"], slide) for _ in range(n_partials)]
     comb = WindowCombiner(size, slide)
     for i, (key, ts) in enumerate(events):
         accs[i % n_partials].process(Event({"k": key}, ts), 0)
     results = {}
-    for wm in (wm_steps or []) + [WM_MAX]:
+    for step, wm in enumerate((wm_steps or []) + [WM_MAX]):
         for acc in accs:
             for ev in acc.on_watermark(wm):
                 comb.process(ev, 0)
+        if step == restore_at:
+            keyed, inst = comb.save_keyed(), comb.save_inst()
+            comb = WindowCombiner(size, slide)
+            comb.restore_keyed(keyed)
+            comb.restore_inst(inst)
         for ev in comb.on_watermark(wm):
             r = ev.payload
             key = (r.window_start, r.key)
@@ -62,14 +71,16 @@ def test_partials_merge_equals_single_instance(events, geom, n_partials):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(EVENTS, GEOM)
-def test_incremental_watermarks_equal_one_shot(events, geom):
+STEPS = list(range(0, 260, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(EVENTS, GEOM, st.integers(0, len(STEPS)) | st.none())
+@example([(1, 5), (1, 15), (2, 25), (1, 35), (1, 45)], (40, 10), 2)
+def test_incremental_watermarks_equal_one_shot(events, geom, restore_at):
     size, slide = geom
-    steps = list(range(0, 260, 30))
-    assert run_two_stage(events, size, slide, wm_steps=steps) == brute_force(
-        events, size, slide
-    )
+    got = run_two_stage(events, size, slide, wm_steps=STEPS, restore_at=restore_at)
+    assert got == brute_force(events, size, slide)
 
 
 @settings(max_examples=25, deadline=None)
