@@ -387,6 +387,7 @@ class JetEngine:
         self.metrics.recoveries += 1
         self.inflight_sid = None
         self._acks = set()
+        self._fold_sink_latencies()  # the rebuild discards the old sinks
         self._build()
         sid = self.last_complete_sid
         if sid is None:
@@ -425,6 +426,11 @@ class JetEngine:
 
     # -- main loop ------------------------------------------------------
 
+    def _fold_sink_latencies(self) -> None:
+        for proc in self.procs.values():
+            if isinstance(proc, SinkProcessor):
+                self.metrics.event_latencies.extend(proc.latencies)
+
     def _done(self) -> bool:
         return all(
             self.tasklets[(vname, k)].done
@@ -447,17 +453,14 @@ class JetEngine:
             self._maybe_trigger_snapshot()
             for w_idx, worker in enumerate(self.workers):
                 if self._pauses is not None and self._pauses[w_idx // self.T].in_pause(
-                    self.now
+                    self.now - self.t0
                 ):
                     continue
                 worker.run_slice(self.now)
             self.now += cfg.slice_ms
             if self.now - self.t0 > cfg.max_sim_ms:
                 raise RuntimeError("simulation horizon exceeded — livelock?")
-        # fold sink event latencies into metrics
-        for (vname, k), proc in self.procs.items():
-            if isinstance(proc, SinkProcessor):
-                self.metrics.event_latencies.extend(proc.latencies)
+        self._fold_sink_latencies()
         return self.metrics
 
     def results(self) -> list:

@@ -135,13 +135,20 @@ def test_engine_correct_across_thread_counts(data, threads):
     assert got == want
 
 
-def test_engine_with_gc_pauses_still_correct_and_slower(data):
-    fast = q5_engine(data)
-    fast.run()
-    slow = q5_engine(data, gc=G1_TUNED)
-    m = slow.run()
+def test_engine_with_gc_pauses_still_correct_and_slower():
+    # 2.5 s of input: G1 pauses (node 1 at ~502 ms job time, node 0 at
+    # ~2,307 ms) land in the run, and one delays a window trigger
+    d = gen.generate(rate=1_500, duration_s=2.5, n_keys=150, seed=91)
+    fast = q5_engine(d)
+    mf = fast.run()
+    slow = q5_engine(d, gc=G1_TUNED)
+    ms = slow.run()
     assert multiset(slow.results(), Q5_COLS) == multiset(fast.results(), Q5_COLS)
-    assert m.trigger_latencies
+    lf = [x for _, x in mf.trigger_latencies]
+    ls = [x for _, x in ms.trigger_latencies]
+    assert len(ls) == len(lf) > 0
+    assert max(ls) > max(lf)
+    assert sum(ls) > sum(lf)
 
 
 def test_engine_with_high_network_latency_correct(data):

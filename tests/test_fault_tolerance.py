@@ -100,6 +100,21 @@ def test_exactly_once_q1_crash_no_loss_no_dup(data):
     assert len(crashed.results()) == len(data.bids)
 
 
+def test_crash_keeps_sink_latency_samples(data):
+    """Recovery rebuilds every sink; the samples the old sinks recorded
+    must survive it. Each committed row had at least one sample (rows
+    replayed after the crash have two)."""
+    eng = mk_engine(
+        qj.q1_pipeline(),
+        {"bids": qj.bid_events(data)},
+        guarantee="exactly-once",
+        snapshot_ms=250,
+    )
+    m = eng.run(fail_at=[(600, 1)])
+    assert m.recoveries == 1
+    assert len(m.event_latencies) >= len(eng.results()) == len(data.bids)
+
+
 def test_exactly_once_q8_crash_equals_clean_run(data):
     sources = {
         "persons": qj.person_events(data),
