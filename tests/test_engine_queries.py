@@ -10,6 +10,7 @@ import duckdb
 import pytest
 
 from repro.core.engine import JetEngine, SimConfig
+from repro.core.gc_model import G1_TUNED
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
 from repro.nexmark.queries_batch import Q1_SQL, Q2_SQL, q5_sql, q8_sql, q13_sql
@@ -129,6 +130,61 @@ def test_q5_golden_trace(data):
         runs.append((sorted(sorted(r.items()) for r in eng.results()), m.trigger_latencies))
     assert m.recoveries == 1
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == Q5_GOLDEN_SHA256
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    """300 ev/s for 3 s: most 0.5 ms slices have nothing to do."""
+    return gen.generate(rate=300, duration_s=3.0, n_keys=50, seed=7)
+
+
+def scheduler_case(case: str, data, sparse):
+    """(pipeline, sources, SimConfig kwargs, fail_at) of one golden case."""
+    xo = dict(guarantee="exactly-once", snapshot_interval_ms=250)
+    bids = {"bids": qj.bid_events(data)}
+    if case == "q8_exactly_once_crash":
+        sources = {"persons": qj.person_events(data), "auctions": qj.auction_events(data)}
+        return qj.q8_pipeline(size_ms=500), sources, dict(CFG, **xo), [(600, 1)]
+    if case == "q13":
+        t0 = int(data.bids["arrival_ms"].min())
+        return qj.q13_pipeline(side_size=64), dict(bids, side=qj.side_events(64, t0)), CFG, None
+    if case == "q5_at_least_once_crash_tiny_queues":
+        cfg = dict(CFG, guarantee="at-least-once", snapshot_interval_ms=250,
+                   queue_capacity=8, inbox_limit=4)
+        return qj.q5_pipeline(size_ms=1_000, slide_ms=250), bids, cfg, [(600, 1)]
+    if case == "q1_g1_gc_fine_slices":
+        return qj.q1_pipeline(), bids, dict(CFG, slice_ms=0.1, gc=G1_TUNED), None
+    assert case == "q5_sparse"
+    return qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(sparse)}, CFG, None
+
+
+#: sha256 of each case's sorted results, trigger and event latencies,
+#: completed snapshots, recoveries and final clock, pinned from the
+#: engine that ran every tasklet in every slice: skipping idle work must
+#: not move any of them
+SCHEDULER_GOLDEN_SHA256 = {
+    "q1_g1_gc_fine_slices": "2a297b65765d7377ad382a406aaaafd8eb0f9c746361189d47dbe4daf96bd4c8",
+    "q13": "fae1baafd7d932a6c0b7ceb514ed8c020daadbda2853d8bde03c7f9c3f4ca7f5",
+    "q5_at_least_once_crash_tiny_queues": "17a7da9ddac85fbcb50dfa397ec7a8e0483dd7e3c96c7f7e4dd3cd6f71581813",
+    "q5_sparse": "bc96e628ad262a297d2ffb60c0d8b801a513a227c4d147620d9043abc14160d6",
+    "q8_exactly_once_crash": "f80a7d755b23841c0dbf7c05e36acd3015347c0a760a3dd1923d70221a0e0101",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULER_GOLDEN_SHA256))
+def test_scheduler_golden_trace(data, sparse, case):
+    pipeline, sources, cfg, fail_at = scheduler_case(case, data, sparse)
+    eng = JetEngine(pipeline.compile(), sources, n_nodes=2, cfg=SimConfig(**cfg))
+    m = eng.run(fail_at=fail_at)
+    trace = (
+        sorted(sorted(r.items()) for r in eng.results()),
+        m.trigger_latencies,
+        m.event_latencies,
+        m.snapshots_completed,
+        m.recoveries,
+        eng.now,
+    )
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == SCHEDULER_GOLDEN_SHA256[case]
 
 
 def test_q5_engine_with_out_of_order_input():
