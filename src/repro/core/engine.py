@@ -8,6 +8,14 @@ Within a slice each worker thread executes its tasklets round-robin
 budget. Events are real: processors compute real query results, which
 the tests compare against Spark and DuckDB.
 
+Idle work is skipped, and simulated timing is unchanged by it. A tasklet
+whose outbox is empty and none of whose inputs is ready returns at once
+with the cost of the idle run it replaces. When no worker made progress
+in a step, the clock jumps over the following steps up to the next
+wake-up — a source arrival, a network delivery or credit grant, a
+snapshot trigger, a failure injection, a GC pause start or end — still
+by repeated ``+= slice_ms``, charging each skipped step as an idle pass.
+
 Fault tolerance follows §4.4: a coordinator periodically instructs
 source tasklets to snapshot; aligned barriers flow through the DAG;
 every tasklet writes its state into IMDG IMaps (replicated, §2.4); a
@@ -19,6 +27,7 @@ yielding end-to-end exactly-once output.
 """
 from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
 
 from ..imdg.cluster import Cluster
 from ..imdg.imap import IMap
@@ -91,9 +100,11 @@ class Worker:
     def __init__(self, slice_ms: float):
         self.tasklets: list = []
         self.slice_ms = slice_ms
+        self.progressed = False  # did the last slice's runs make progress
 
     def run_slice(self, now_ms: float) -> None:
         budget = self.slice_ms
+        self.progressed = False
         while budget > 0:
             progressed = False
             for t in self.tasklets:
@@ -103,6 +114,16 @@ class Worker:
                 if budget <= 0:
                     break
             if not progressed:
+                break
+            self.progressed = True
+
+    def skip_idle_slices(self, n: int) -> None:
+        """Account for ``n`` skipped slices in which every run was idle:
+        each is one pass over the tasklets, as far as the budget goes."""
+        budget = self.slice_ms
+        for t in self.tasklets:
+            budget -= t.skip_idle_runs(n)
+            if budget <= 0:
                 break
 
 
@@ -343,23 +364,26 @@ class JetEngine:
                 if items:
                     self.external.commit((sid, vname, k), items)
 
-    def _maybe_trigger_snapshot(self) -> None:
+    def _snapshot_armed(self) -> bool:
+        """True when only the interval stands between the coordinator
+        and the next snapshot."""
         cfg = self.cfg
         if cfg.snapshot_interval_ms is None or cfg.guarantee == "none":
-            return
+            return False
         if self.inflight_sid is not None:
-            return
-        if self.now - self._last_snap_ms < cfg.snapshot_interval_ms:
-            return
+            return False
         if all(s.done or s._finishing for s in self.source_tasklets.values()):
-            return  # job draining; no further snapshots
-        if any(
-            p.wanted_ordinal() is not None
-            for p in self.procs.values()
-        ):
-            # a hash-join build (priority edge) is still in progress:
-            # like Jet, defer snapshots until priority edges are drained
-            # (a barrier on a priority input would deadlock alignment)
+            return False  # job draining; no further snapshots
+        # a hash-join build (priority edge) still in progress: like Jet,
+        # defer snapshots until priority edges are drained (a barrier on
+        # a priority input would deadlock alignment)
+        return all(p.wanted_ordinal() is None for p in self.procs.values())
+
+    def _maybe_trigger_snapshot(self) -> None:
+        interval = self.cfg.snapshot_interval_ms
+        if interval is None or self.now - self._last_snap_ms < interval:
+            return
+        if not self._snapshot_armed():
             return
         sid = self.next_sid
         self.next_sid += 1
@@ -439,6 +463,62 @@ class JetEngine:
             for k in range(self._n_inst(vname))
         )
 
+    def _running(self) -> list[Worker]:
+        """Workers whose node is not in a GC pause at ``now``."""
+        if self._pauses is None:
+            return self.workers
+        paused = [p.in_pause(self.now - self.t0) for p in self._pauses]
+        return [w for i, w in enumerate(self.workers) if not paused[i // self.T]]
+
+    def _tick(self) -> None:
+        self.now += self.cfg.slice_ms
+        if self.now - self.t0 > self.cfg.max_sim_ms:
+            raise RuntimeError("simulation horizon exceeded — livelock?")
+
+    def _skip_idle_steps(self, running: list[Worker], schedule: list) -> None:
+        """After a step in which no worker made progress, jump over the
+        steps that provably do nothing.
+
+        Every tasklet on a running worker reports when it could next
+        have work (:meth:`Tasklet.wake_up`); if one has work now, no
+        step is skipped. Otherwise each following step is skipped while
+        its whole slice ends before the earliest source arrival and
+        network delivery, no credit grant falls due in it, and the
+        coordinator would neither inject a failure, start a snapshot
+        nor see a GC pause begin or end. The clock still advances by
+        repeated ``+= slice_ms``, so its values match a run that
+        executes every step, and each skipped step is charged as the
+        idle pass it replaces.
+        """
+        due = ack_from = inf
+        for w in running:
+            for t in w.tasklets:
+                wake = t.wake_up()
+                if wake is None:
+                    return
+                due = min(due, wake[0])
+                ack_from = min(ack_from, wake[1])
+        cfg = self.cfg
+        armed = self._snapshot_armed()
+        skipped = 0
+        while True:
+            end = self.now + cfg.slice_ms
+            # the predicates the runs and the coordinator use, at the
+            # latest time a run in this step could see
+            if end >= due or not end - ack_from < cfg.ack_interval_ms:
+                break
+            if schedule and self.now >= self.t0 + schedule[0][0]:
+                break
+            if armed and not self.now - self._last_snap_ms < cfg.snapshot_interval_ms:
+                break
+            if self._pauses is not None and self._running() != running:
+                break
+            self._tick()
+            skipped += 1
+        if skipped:
+            for w in running:
+                w.skip_idle_slices(skipped)
+
     def run(self, *, fail_at: list[tuple[float, int]] | None = None) -> Metrics:
         """Advance simulated time until every sink completed.
 
@@ -446,20 +526,16 @@ class JetEngine:
         injections, applied once each.
         """
         schedule = sorted(fail_at or [])
-        cfg = self.cfg
         while not self._done():
             while schedule and self.now >= self.t0 + schedule[0][0]:
                 self.fail_node(schedule.pop(0)[1])
             self._maybe_trigger_snapshot()
-            for w_idx, worker in enumerate(self.workers):
-                if self._pauses is not None and self._pauses[w_idx // self.T].in_pause(
-                    self.now - self.t0
-                ):
-                    continue
+            running = self._running()
+            for worker in running:
                 worker.run_slice(self.now)
-            self.now += cfg.slice_ms
-            if self.now - self.t0 > cfg.max_sim_ms:
-                raise RuntimeError("simulation horizon exceeded — livelock?")
+            self._tick()
+            if not any(w.progressed for w in running):
+                self._skip_idle_steps(running, schedule)
         self._fold_sink_latencies()
         return self.metrics
 

@@ -11,8 +11,16 @@ experiments: ``offer`` fails when full (local backpressure, §3.3) and
 :class:`NetworkChannel` decorates a queue with link latency and
 credit-based flow control, modelling the distributed-edge receive
 window of §3.3 (ack every 100 ms, ~300 ms worth of credits).
+
+Both kinds answer two consumer-side questions without changing state,
+so the scheduler can pass over a channel that has nothing for it:
+``ready(now_ms)`` — would a poll at ``now_ms`` return an item or grant
+credits — and ``wake_up()`` — ``None`` when an item is waiting now,
+else ``(due_ms, ack_from_ms)``: the delivery time of the oldest
+in-flight item and the time of the last credit grant.
 """
 from collections import deque
+from math import inf
 
 #: Jet's default edge queue capacity (1024 items per SPSC queue).
 DEFAULT_CAPACITY = 1024
@@ -37,6 +45,12 @@ class SPSCQueue:
     def poll(self):
         """Dequeue one item, or None when empty."""
         return self._q.popleft() if self._q else None
+
+    def ready(self, now_ms: float) -> bool:
+        return bool(self._q)
+
+    def wake_up(self) -> tuple[float, float] | None:
+        return None if self._q else (inf, inf)
 
     def __len__(self) -> int:
         return len(self._q)
@@ -112,6 +126,19 @@ class NetworkChannel:
         self.credits = max(self.credits, window - backlog)
         self._last_ack_ms = now_ms
         self._consumed_since_ack = 0
+
+    def ready(self, now_ms: float) -> bool:
+        return bool(
+            self._ready
+            or (self._in_flight and self._in_flight[0][0] <= now_ms)
+            or now_ms - self._last_ack_ms >= self.ack_interval_ms
+        )
+
+    def wake_up(self) -> tuple[float, float] | None:
+        if self._ready:
+            return None
+        due = self._in_flight[0][0] if self._in_flight else inf
+        return due, self._last_ack_ms
 
     def __len__(self) -> int:
         return len(self._in_flight) + len(self._ready)

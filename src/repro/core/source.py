@@ -11,7 +11,12 @@ leaves the offset where it is.
 The source is *replayable* (§4.5): its only state is the read offset,
 saved into each snapshot; recovery rewinds to the offset recorded in
 the last completed snapshot and re-emits.
+
+A run with no barrier to emit, no control item to flush and no event
+due yet returns at once: the full run would do nothing either.
 """
+from math import inf
+
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
 from .tasklet import OutboundEdge, OutputBuffer
 
@@ -63,11 +68,35 @@ class SourceTasklet:
         self._finishing = False
         self.last_wm = -1
 
+    def _waiting(self) -> bool:
+        """Nothing to do until the next event arrives."""
+        return (
+            self.pending_snapshot_sid is None
+            and not self._ctl._buf
+            and self.offset < len(self.events)
+        )
+
+    def wake_up(self) -> tuple[float, float] | None:
+        """``None`` when a run could do work now; else ``(due_ms,
+        ack_from_ms)`` as for :meth:`Tasklet.wake_up`: runs stay idle
+        until the next event arrives."""
+        if self.done:
+            return inf, inf
+        if not self._waiting():
+            return None
+        return self.events[self.offset][0], inf
+
+    def skip_idle_runs(self, n: int) -> float:
+        """The cost of one of ``n`` skipped idle runs (they change nothing)."""
+        return 0.0 if self.done else self.run_overhead_ms / 4
+
     def run(self, now_ms: float) -> tuple[bool, float]:
         """One cooperative step: barrier first, then a batch of events,
         then a watermark update; finally EOS once drained."""
         if self.done:
             return False, 0.0
+        if self._waiting() and self.events[self.offset][0] > now_ms:
+            return False, self.run_overhead_ms / 4
         if not self._flush_control(now_ms):
             return False, 0.0
         progress = False

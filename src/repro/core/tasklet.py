@@ -16,12 +16,18 @@ Control items are handled here, uniformly for every processor:
   at-least-once (§4.4);
 * end-of-stream completes the processor and propagates.
 
+A run first asks its inputs whether a poll could return anything
+(:meth:`InboundChannel.ready`). When the outbox is empty and no input
+is ready, the run cannot change anything, so it returns at once with
+the same result and cost as the full idle run it replaces.
+
 Output ordering is strictly FIFO: data events and control items share
 one ordered buffer, so a barrier can never overtake the pre-barrier
 events it must follow (the correctness heart of aligned snapshots),
 even when a full downstream queue forces partial flushes.
 """
 from collections import deque
+from math import inf
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
 from .processors import Processor
@@ -43,6 +49,11 @@ class InboundChannel:
         self.wm = -1  # highest watermark seen on this channel
         self.done = False
         self.barrier_seen: int | None = None  # sid awaiting alignment
+        #: ``ready(now_ms)``: True when :meth:`poll` at ``now_ms`` would
+        #: return an item or grant credits; False means it would change
+        #: nothing. The queue's own check, bound here to save a call on
+        #: the hot path.
+        self.ready = queue.ready
 
     def poll(self, now_ms: float):
         if isinstance(self.queue, NetworkChannel):
@@ -163,8 +174,10 @@ class Tasklet:
         self._finishing = False
 
     def _maybe_advance_wm(self) -> None:
-        live = [c for c in self.inputs if not c.done]
-        new_wm = min((c.wm for c in live), default=WM_MAX) if live else WM_MAX
+        new_wm = WM_MAX  # the min over live inputs; all done: the end
+        for c in self.inputs:
+            if not c.done and c.wm < new_wm:
+                new_wm = c.wm
         if new_wm > self.wm:
             self.wm = new_wm
             self.out.push_events(self.processor.on_watermark(self.wm))
@@ -175,6 +188,45 @@ class Tasklet:
         if sids and None not in sids and len(sids) == 1:
             return next(iter(sids))
         return None
+
+    def _idle(self, now_ms: float) -> bool:
+        """True when a run at ``now_ms`` would change nothing but the
+        input rotation: nothing to flush or finish, no input ready."""
+        if self.out._buf or self._finishing:
+            return False
+        for c in self.inputs:
+            if c.done or (c.barrier_seen is not None and self.exactly_once):
+                continue
+            if c.ready(now_ms):
+                return False
+        return True
+
+    def wake_up(self) -> tuple[float, float] | None:
+        """``None`` when a run could do work now; else ``(due_ms,
+        ack_from_ms)``: runs stay idle until the first in-flight input
+        is delivered or an input's credit grant falls due."""
+        if self.done:
+            return inf, inf
+        if self.out._buf or self._finishing:
+            return None
+        due = ack_from = inf
+        for c in self.inputs:
+            if c.done or (c.barrier_seen is not None and self.exactly_once):
+                continue
+            wake = c.queue.wake_up()
+            if wake is None:
+                return None
+            due = min(due, wake[0])
+            ack_from = min(ack_from, wake[1])
+        return due, ack_from
+
+    def skip_idle_runs(self, n: int) -> float:
+        """Account for ``n`` idle runs the scheduler skipped; returns
+        the simulated cost of one."""
+        if self.done:
+            return 0.0
+        self._rr_input += n
+        return self.run_overhead_ms / 4
 
     def _take_snapshot(self, sid: int) -> None:
         if self.on_snapshot is not None:
@@ -194,6 +246,9 @@ class Tasklet:
         """
         if self.done:
             return False, 0.0
+        if self._idle(now_ms):
+            self._rr_input += 1
+            return False, self.run_overhead_ms / 4
         self.processor.now_ms = now_ms  # simulated clock for trigger stamps
         progress = False
         # 1. drain any backed-up output first; no new input while blocked
@@ -216,6 +271,8 @@ class Tasklet:
                 continue
             if ch.barrier_seen is not None and self.exactly_once:
                 continue  # aligned channel is blocked until all arrive
+            if not ch.ready(now_ms):
+                continue
             while len(inbox) < self.inbox_limit:
                 item = ch.poll(now_ms)
                 if item is None:

@@ -9,7 +9,7 @@ import hashlib
 import duckdb
 import pytest
 
-from repro.core.engine import JetEngine, SimConfig
+from repro.core.engine import JetEngine, SimConfig, Worker
 from repro.core.gc_model import G1_TUNED
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
@@ -154,6 +154,9 @@ def scheduler_case(case: str, data, sparse):
         return qj.q5_pipeline(size_ms=1_000, slide_ms=250), bids, cfg, [(600, 1)]
     if case == "q1_g1_gc_fine_slices":
         return qj.q1_pipeline(), bids, dict(CFG, slice_ms=0.1, gc=G1_TUNED), None
+    if case == "q8_sparse":
+        sources = {"persons": qj.person_events(sparse), "auctions": qj.auction_events(sparse)}
+        return qj.q8_pipeline(size_ms=1_000), sources, CFG, None
     assert case == "q5_sparse"
     return qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(sparse)}, CFG, None
 
@@ -168,6 +171,7 @@ SCHEDULER_GOLDEN_SHA256 = {
     "q5_at_least_once_crash_tiny_queues": "17a7da9ddac85fbcb50dfa397ec7a8e0483dd7e3c96c7f7e4dd3cd6f71581813",
     "q5_sparse": "bc96e628ad262a297d2ffb60c0d8b801a513a227c4d147620d9043abc14160d6",
     "q8_exactly_once_crash": "f80a7d755b23841c0dbf7c05e36acd3015347c0a760a3dd1923d70221a0e0101",
+    "q8_sparse": "35c379651ca4efa882dbf0e5bfe1dbd70b55a85ee473e5be457d3fc37fe3c75f",
 }
 
 
@@ -185,6 +189,25 @@ def test_scheduler_golden_trace(data, sparse, case):
         eng.now,
     )
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == SCHEDULER_GOLDEN_SHA256[case]
+
+
+def test_idle_steps_are_skipped(data, sparse, monkeypatch):
+    """On sparse input most steps have nothing to run; the engine jumps
+    over them instead of running every worker in every step."""
+    calls = [0]
+    run_slice = Worker.run_slice
+
+    def counted(self, now_ms):
+        calls[0] += 1
+        run_slice(self, now_ms)
+
+    monkeypatch.setattr(Worker, "run_slice", counted)
+    pipeline, sources, cfg, _ = scheduler_case("q8_sparse", data, sparse)
+    eng = JetEngine(pipeline.compile(), sources, n_nodes=2, cfg=SimConfig(**cfg))
+    eng.run()
+    every_step = (eng.now - eng.t0) / eng.cfg.slice_ms * len(eng.workers)
+    assert eng.results()
+    assert calls[0] < every_step / 5
 
 
 def test_q5_engine_with_out_of_order_input():
