@@ -41,11 +41,17 @@ class Vertex:
 
 @dataclass
 class SourceVertex:
-    """A replayable source vertex bound to a named event stream."""
+    """A replayable source vertex bound to a named event stream.
+
+    ``wm_frame_ms`` throttles the source's watermarks to multiples of
+    the frame (0: every advance goes out); :meth:`Pipeline.compile`
+    derives it from the windows downstream.
+    """
 
     name: str
     stream: str  # key into the engine's sources dict
     ooo_lag_ms: int = 0
+    wm_frame_ms: int = 0
 
 
 @dataclass

@@ -262,6 +262,7 @@ class JetEngine:
                     self._source_split[sname][k],
                     out_edges.get((sname, k), []),
                     ooo_lag_ms=sv.ooo_lag_ms,
+                    wm_frame_ms=sv.wm_frame_ms,
                     batch=cfg.source_batch,
                     cost_per_item_ms=cfg.cost_per_item_ms / 2,
                     run_overhead_ms=cfg.run_overhead_ms,

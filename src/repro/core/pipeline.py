@@ -12,6 +12,7 @@ stateless map/filter stages collapse into a single vertex running a
 Core-DAG chaining in Figure 2.
 """
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Any, Callable
 
 from .dag import DAG, Edge, SourceVertex, Vertex
@@ -144,6 +145,7 @@ class Pipeline:
     def compile(self) -> DAG:
         """Lower the stage graph to a Core DAG with operator fusion."""
         dag = DAG()
+        wm_frame_ms = _wm_frame(self._stages)
         produced: dict[int, str] = {}  # id(_Stage) -> vertex name feeding downstream
 
         def vertex_of(node: _Stage) -> str:
@@ -157,7 +159,9 @@ class Pipeline:
             st = stages[i]
             if st.kind == "source":
                 dag.add_source(
-                    SourceVertex(st.name, st.params["stream"], st.params["ooo_lag_ms"])
+                    SourceVertex(
+                        st.name, st.params["stream"], st.params["ooo_lag_ms"], wm_frame_ms
+                    )
                 )
                 produced[id(st)] = st.name
                 i += 1
@@ -319,6 +323,19 @@ class Pipeline:
             raise ValueError(f"unknown stage kind {st.kind}")  # pragma: no cover
         dag.validate()
         return dag
+
+
+def _wm_frame(stages: list[_Stage]) -> int:
+    """The watermark frame: the GCD of every window step (sliding-window
+    slides, tumbling-join sizes), 0 when no stage is windowed. Every
+    window and pane end is a multiple of it."""
+    frame = 0
+    for s in stages:
+        if s.kind == "window_count":
+            frame = gcd(frame, s.params["slide_ms"])
+        elif s.kind == "tumbling_join":
+            frame = gcd(frame, s.params["size_ms"])
+    return frame
 
 
 def _fanout(stages: list[_Stage], node: _Stage) -> int:

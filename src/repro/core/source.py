@@ -12,6 +12,16 @@ The source is *replayable* (§4.5): its only state is the read offset,
 saved into each snapshot; recovery rewinds to the offset recorded in
 the last completed snapshot and re-emits.
 
+Watermarks are throttled to the frame of the windows downstream
+(``wm_frame_ms``, the GCD of their slide steps, derived by
+:meth:`Pipeline.compile`): each is floored to a multiple of the frame
+and goes out only when the floored value advances, not after every
+batch. Trigger times do not move. Flooring is monotone, so the minimum
+a vertex takes over its floored inputs is the floor of the unthrottled
+minimum; every window and pane end is a multiple of the frame, so that
+floor passes an end on the same source event as the raw minimum does.
+A frame of 0 (no windowed stage) sends every advance.
+
 A run with no barrier to emit, no control item to flush and no event
 due yet returns at once: the full run would do nothing either.
 """
@@ -32,6 +42,7 @@ class SourceTasklet:
         outputs: list[OutboundEdge],
         *,
         ooo_lag_ms: int = 0,
+        wm_frame_ms: int = 0,
         batch: int = 256,
         cost_per_item_ms: float = 0.0002,
         run_overhead_ms: float = 0.001,
@@ -42,6 +53,7 @@ class SourceTasklet:
         assert len(outputs) == 1, "a source feeds exactly one edge"
         self.outputs = outputs
         self.ooo_lag_ms = ooo_lag_ms
+        self.wm_frame_ms = wm_frame_ms
         self.batch = batch
         self.cost_per_item_ms = cost_per_item_ms
         self.run_overhead_ms = run_overhead_ms
@@ -126,6 +138,8 @@ class SourceTasklet:
         if emitted:
             progress = True
             wm = max_arrival - self.ooo_lag_ms
+            if self.wm_frame_ms:
+                wm -= wm % self.wm_frame_ms
             if wm > self.last_wm:
                 self.last_wm = wm
                 self._broadcast(Watermark(wm))

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.dag import DAG
+from repro.core.pipeline import Pipeline
 from repro.nexmark import queries_jet as qj
 
 
@@ -20,6 +21,30 @@ def test_q2_fuses_filter_and_map():
     dag = qj.q2_pipeline().compile()
     [fused] = [v for v in dag.vertices if "sink" not in v]
     assert "+" in fused  # filter+map fused into one vertex
+
+
+@pytest.mark.parametrize(
+    "pipeline,frame",
+    [
+        (lambda: qj.q5_pipeline(size_ms=1_000, slide_ms=100), 100),
+        (lambda: qj.q8_pipeline(size_ms=500), 500),
+        (lambda: qj.q5_pipeline(size_ms=10_000, slide_ms=10), 10),
+        (qj.q1_pipeline, 0),
+        (lambda: qj.q13_pipeline(side_size=64), 0),
+    ],
+    ids=["q5_1s_100ms", "q8_500ms", "q5_10s_10ms", "q1", "q13"],
+)
+def test_watermark_frame_is_the_window_step(pipeline, frame):
+    dag = pipeline().compile()
+    assert [sv.wm_frame_ms for sv in dag.sources.values()] == [frame] * len(dag.sources)
+
+
+def test_watermark_frame_is_gcd_over_windowed_stages():
+    p = Pipeline()
+    p.read_stream("a").window_count(lambda r: r, size_ms=900, slide_ms=300).write_to("s1")
+    p.read_stream("b").window_count(lambda r: r, size_ms=500, slide_ms=500).write_to("s2")
+    dag = p.compile()
+    assert {n: sv.wm_frame_ms for n, sv in dag.sources.items()} == {"a": 100, "b": 100}
 
 
 def test_q5_compiles_two_stage_plus_top():

@@ -5,11 +5,11 @@ from repro.core.source import SourceTasklet
 from repro.core.tasklet import WM_MAX, OutboundEdge
 
 
-def mk(events, *, capacity=64, ooo_lag_ms=0, batch=256, on_snapshot=None):
+def mk(events, *, capacity=64, ooo_lag_ms=0, batch=256, on_snapshot=None, wm_frame_ms=0):
     q = SPSCQueue(capacity)
     src = SourceTasklet(
         "s", events, [OutboundEdge([q])], ooo_lag_ms=ooo_lag_ms, batch=batch,
-        on_snapshot=on_snapshot,
+        on_snapshot=on_snapshot, wm_frame_ms=wm_frame_ms,
     )
     return src, q
 
@@ -72,6 +72,25 @@ def test_source_watermark_monotone_and_lagged():
     # first emitted wm is arrival 10 minus lag 7 (negative wms are
     # suppressed by the initial floor)
     assert finite[0] == 3
+
+
+def test_source_emits_only_frame_aligned_watermarks():
+    """With a 100 ms frame a watermark goes out only when the floored
+    value crosses a frame boundary, not after every batch."""
+    events = [(t, t, t) for t in range(5, 400, 10)]
+    src, q = mk(events, ooo_lag_ms=3, wm_frame_ms=100)
+    wms = []
+    for arrival, _, _ in events:
+        src.run(now_ms=float(arrival))
+        wms.extend(i.value for i in drain(q) if isinstance(i, Watermark))
+    assert src.done
+    assert wms == [0, 100, 200, 300, WM_MAX]
+    unthrottled, q = mk(events, ooo_lag_ms=3)
+    n_wm = 0
+    for arrival, _, _ in events:
+        unthrottled.run(now_ms=float(arrival))
+        n_wm += sum(isinstance(i, Watermark) for i in drain(q))
+    assert n_wm == len(events) + 1
 
 
 def test_source_barrier_precedes_post_offset_events():
