@@ -52,7 +52,7 @@ class NexmarkData:
 
 def generate(
     *,
-    rate: int = 100_000,
+    rate: float = 100_000,
     duration_s: float = 1.0,
     n_keys: int = S.DEFAULT_N_KEYS,
     seed: int = 42,
@@ -62,13 +62,15 @@ def generate(
     """Generate a NEXMark stream of ``rate * duration_s`` events.
 
     Event *i* occurs at ``t0_ms + i / rate`` seconds (deterministic
-    inter-arrival, like Beam's generator); its kind follows Beam's
+    inter-arrival, like Beam's generator), floored to a whole
+    millisecond for any rate, integral or not; its kind follows Beam's
     repeating 1-person / 3-auction / 46-bid pattern per 50 events.
     """
     n = max(1, int(rate * duration_s))
     g = _rng(seed)
     idx = np.arange(n, dtype=np.int64)
-    ts = t0_ms + (idx * 1000) // rate
+    # a float rate makes the quotient float; int64 already is a no-op
+    ts = t0_ms + ((idx * 1000) // rate).astype(np.int64, copy=False)
     slot = idx % S.TOTAL_PROPORTION
     is_person = slot < S.PERSON_PROPORTION
     is_auction = (slot >= S.PERSON_PROPORTION) & (

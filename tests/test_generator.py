@@ -37,6 +37,34 @@ def test_event_times_follow_rate(rate):
     assert gen.T0_MS <= hi < gen.T0_MS + 1000
 
 
+@pytest.mark.parametrize("rate", [4_000.0, 333.3])
+def test_float_rate_gives_integer_milliseconds(rate):
+    d = gen.generate(rate=rate, duration_s=0.5, seed=2)
+    for frame in (d.bids, d.persons, d.auctions):
+        assert frame["ts_ms"].dtype == np.int64
+        assert frame["arrival_ms"].dtype == np.int64
+        assert frame["ts_ms"].is_monotonic_increasing
+    if rate == int(rate):
+        same = gen.generate(rate=int(rate), duration_s=0.5, seed=2)
+        assert d.bids.equals(same.bids) and d.persons.equals(same.persons)
+
+
+def test_float_rate_runs_through_windowed_engine():
+    """Float event times made the window combiner's ``range`` raise."""
+    from repro.core.engine import JetEngine, SimConfig
+    from repro.nexmark import queries_jet as qj
+
+    d = gen.generate(rate=4_000.0, duration_s=0.5, n_keys=50, seed=3)
+    eng = JetEngine(
+        qj.q5_pipeline(size_ms=200, slide_ms=100).compile(),
+        {"bids": qj.bid_events(d)},
+        n_nodes=1,
+        cfg=SimConfig(threads_per_node=2),
+    )
+    eng.run()
+    assert eng.results()
+
+
 def test_key_cardinality_bounded():
     d = gen.generate(rate=100_000, duration_s=1.0, n_keys=1000, seed=3)
     assert d.bids["auction"].nunique() <= 1000
