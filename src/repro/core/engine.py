@@ -24,7 +24,14 @@ member mid-run — the IMDG promotes backups, a fresh member joins, the
 job restarts from the last completed snapshot, sources replay from
 their recorded offsets, and transactional sinks dedup re-commits,
 yielding end-to-end exactly-once output.
+
+No reference cycle runs through the engine: processors get a plain job
+context, partitioned routes hold the partition owner table, and the
+snapshot callbacks reach the engine through a weak proxy. A finished
+job is freed as soon as its last reference goes, not at the next full
+cyclic collection, which would land in whatever phase runs next.
 """
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
@@ -77,21 +84,16 @@ class Metrics:
 
 
 class _JobCtx:
-    """Context handed to vertex processor factories."""
+    """Context handed to vertex processor factories: what they need of
+    the job, with no reference back to the engine."""
 
-    def __init__(self, engine: "JetEngine"):
-        self._e = engine
-        self.external = engine.external
-
-    @property
-    def transactional(self) -> bool:
-        return (
-            self._e.cfg.guarantee == "exactly-once"
-            and self._e.cfg.snapshot_interval_ms is not None
-        )
+    def __init__(self, external: ExternalStore, transactional: bool, metrics: Metrics):
+        self.external = external
+        self.transactional = transactional
+        self._triggers = metrics.trigger_latencies
 
     def record_trigger(self, window_end: int, now_ms: float) -> None:
-        self._e.metrics.trigger_latencies.append((window_end, now_ms - window_end))
+        self._triggers.append((window_end, now_ms - window_end))
 
 
 class Worker:
@@ -147,7 +149,11 @@ class JetEngine:
         self.node_members = list(self.cluster.member_ids)
         self.external = ExternalStore()
         self.metrics = Metrics()
-        self.ctx = _JobCtx(self)
+        self.ctx = _JobCtx(
+            self.external,
+            self.cfg.guarantee == "exactly-once" and self.cfg.snapshot_interval_ms is not None,
+            self.metrics,
+        )
         self._imaps: dict[str, IMap] = {}
         # split each stream round-robin over its source instances once;
         # the split is reused verbatim on recovery so replay is exact
@@ -187,14 +193,21 @@ class JetEngine:
             return 0, 0
         return k // self.T, k % self.T
 
+    def _partition_owners(self, n_inst: int) -> list[int]:
+        """The instance of an ``n_inst``-wide vertex that owns each IMDG
+        partition: partitioned edges route by the grid's table (§4.1)."""
+        n_parts = self.cluster.n_partitions
+        if n_inst == 1:
+            return [0] * n_parts
+        table = self.cluster.table
+        return [
+            self.node_members.index(table.primary(pid)) * self.T + pid % self.T
+            for pid in range(n_parts)
+        ]
+
     def _route_key(self, key, n_inst: int) -> int:
         """Partitioned-edge routing aligned with the IMDG table (§4.1)."""
-        if n_inst == 1:
-            return 0
-        pid = partition_id(key, self.cluster.n_partitions)
-        member = self.cluster.table.primary(pid)
-        node_idx = self.node_members.index(member)
-        return node_idx * self.T + pid % self.T
+        return self._partition_owners(n_inst)[partition_id(key, self.cluster.n_partitions)]
 
     def _imap(self, name: str) -> IMap:
         if name not in self._imaps:
@@ -226,6 +239,10 @@ class JetEngine:
                 True,
             )
 
+        # routes hold the partition owners, not the engine: a finished
+        # job is freed without a cyclic collection
+        n_parts = self.cluster.n_partitions
+        owners = {n: self._partition_owners(n) for n in {1, self.n_nodes * self.T}}
         out_edges: dict[tuple[str, int], list[OutboundEdge]] = {}
         for vname in list(self.dag.sources) + list(self.dag.vertices):
             for e in self.dag.out_edges(vname):
@@ -246,8 +263,9 @@ class JetEngine:
                             InboundChannel(q, remote=remote, ordinal=e.ordinal)
                         )
                     if e.routing == "partitioned":
-                        kf = e.key_fn
-                        route = lambda p, kf=kf, nd=n_dst: self._route_key(kf(p), nd)
+                        route = lambda p, kf=e.key_fn, own=owners[n_dst], n=n_parts: own[
+                            partition_id(kf(p), n)
+                        ]
                     else:
                         route = None
                     out_edges.setdefault((e.src, k), []).append(
@@ -317,24 +335,31 @@ class JetEngine:
     def _meta_map(self) -> IMap:
         return self._imap("__snap.meta")
 
+    # the tasklets' snapshot callbacks reach the engine through a weak
+    # proxy: a finished job is freed without a cyclic collection
+
     def _mk_source_snapshot_cb(self, sname: str, k: int):
+        eng = weakref.proxy(self)
+
         def cb(sid: int, src: SourceTasklet) -> None:
-            self._inst_map(sid).put((sname, k), src.save_inst())
-            self._ack(sid, sname, k)
+            eng._inst_map(sid).put((sname, k), src.save_inst())
+            eng._ack(sid, sname, k)
 
         return cb
 
     def _mk_snapshot_cb(self, vname: str, k: int):
+        eng = weakref.proxy(self)
+
         def cb(sid: int, tasklet: Tasklet) -> None:
             proc = tasklet.processor
             if isinstance(proc, SinkProcessor):
-                self._inst_map(sid).put((vname, k), proc.prepare_epoch(sid))
+                eng._inst_map(sid).put((vname, k), proc.prepare_epoch(sid))
             else:
-                snap = self._snap_map(sid, vname)
+                snap = eng._snap_map(sid, vname)
                 for key, val in proc.save_keyed().items():
                     snap.put((k, key), val)
-                self._inst_map(sid).put((vname, k), proc.save_inst())
-            self._ack(sid, vname, k)
+                eng._inst_map(sid).put((vname, k), proc.save_inst())
+            eng._ack(sid, vname, k)
 
         return cb
 
@@ -427,10 +452,11 @@ class JetEngine:
             merged: dict = {}
             for (_inst, key), val in self._snap_map(sid, vname).entry_set():
                 merged[key] = v.merge(merged[key], val) if key in merged else val
-            n_inst = self._n_inst(vname)
+            owners = self._partition_owners(self._n_inst(vname))
+            n_parts = self.cluster.n_partitions
             per_inst: dict[int, dict] = {}
             for key, val in merged.items():
-                inst = self._route_key(v.state_record_key(key), n_inst)
+                inst = owners[partition_id(v.state_record_key(key), n_parts)]
                 per_inst.setdefault(inst, {})[key] = val
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)

@@ -6,10 +6,12 @@ failure-free run — no loss, no duplicates — because the job restores
 from the last completed IMDG snapshot, replays the replayable sources
 from their snapshotted offsets, and deduplicates sink re-commits.
 """
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -130,6 +132,27 @@ def test_exactly_once_q8_crash_equals_clean_run(data):
     crashed.run(fail_at=[(650, 1)])
     cols = ["id", "name", "window_start"]
     assert multiset(crashed.results(), cols) == multiset(clean.results(), cols)
+
+
+def test_finished_engine_is_freed_without_cyclic_gc(data):
+    """No reference cycle runs through the engine (trigger recording,
+    partitioned routes, snapshot callbacks), so dropping the last
+    reference frees it at once, not at the next full collection."""
+    gc.disable()
+    try:
+        eng = mk_engine(
+            qj.q5_pipeline(size_ms=1_000, slide_ms=250),
+            {"bids": qj.bid_events(data)},
+            guarantee="exactly-once",
+            snapshot_ms=250,
+        )
+        m = eng.run(fail_at=[(600, 1)])
+        assert m.recoveries == 1 and m.snapshots_completed and m.trigger_latencies
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_crash_before_first_snapshot_cold_restart(data):
