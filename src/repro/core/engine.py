@@ -87,10 +87,10 @@ class _JobCtx:
     """Context handed to vertex processor factories: what they need of
     the job, with no reference back to the engine."""
 
-    def __init__(self, external: ExternalStore, transactional: bool, metrics: Metrics):
+    def __init__(self, external: ExternalStore, transactional: bool, triggers: list):
         self.external = external
         self.transactional = transactional
-        self._triggers = metrics.trigger_latencies
+        self._triggers = triggers  # Metrics.trigger_latencies
 
     def record_trigger(self, window_end: int, now_ms: float) -> None:
         self._triggers.append((window_end, now_ms - window_end))
@@ -152,7 +152,7 @@ class JetEngine:
         self.ctx = _JobCtx(
             self.external,
             self.cfg.guarantee == "exactly-once" and self.cfg.snapshot_interval_ms is not None,
-            self.metrics,
+            self.metrics.trigger_latencies,
         )
         self._imaps: dict[str, IMap] = {}
         # split each stream round-robin over its source instances once;
@@ -335,8 +335,8 @@ class JetEngine:
     def _meta_map(self) -> IMap:
         return self._imap("__snap.meta")
 
-    # the tasklets' snapshot callbacks reach the engine through a weak
-    # proxy: a finished job is freed without a cyclic collection
+    # snapshot callbacks hold a weak proxy: tasklets must not keep the
+    # engine alive
 
     def _mk_source_snapshot_cb(self, sname: str, k: int):
         eng = weakref.proxy(self)

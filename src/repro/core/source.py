@@ -16,11 +16,14 @@ Watermarks are throttled to the frame of the windows downstream
 (``wm_frame_ms``, the GCD of their slide steps, derived by
 :meth:`Pipeline.compile`): each is floored to a multiple of the frame
 and goes out only when the floored value advances, not after every
-batch. Trigger times do not move. Flooring is monotone, so the minimum
-a vertex takes over its floored inputs is the floor of the unthrottled
-minimum; every window and pane end is a multiple of the frame, so that
-floor passes an end on the same source event as the raw minimum does.
-A frame of 0 (no windowed stage) sends every advance.
+batch. Flooring is monotone, so the minimum a vertex takes over its
+floored inputs is the floor of the unthrottled minimum; every window and
+pane end is a multiple of the frame, so that floor passes an end on the
+same source event as the raw minimum does, and windows close as before.
+Only the simulated cost of the watermark runs no longer made is gone: a
+trigger can fire a few microseconds earlier in its slice, and rarely a
+slice apart where that shift moves a network delivery across a slice
+boundary. A frame of 0 (no windowed stage) sends every advance.
 
 A run with no barrier to emit, no control item to flush and no event
 due yet returns at once: the full run would do nothing either.
