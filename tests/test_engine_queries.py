@@ -169,7 +169,8 @@ def scheduler_case(case: str, data, sparse):
 #: not move any of them. Throttling source watermarks to the window
 #: frame re-pinned three: with fewer watermark runs, runs within a slice
 #: start at other offsets, which moves end-of-stream flush latencies by
-#: under 0.001 ms and, at least once, which replayed events count twice
+#: under 0.001 ms and, under at-least-once, which replayed events count
+#: twice
 SCHEDULER_GOLDEN_SHA256 = {
     "q1_g1_gc_fine_slices": "2a297b65765d7377ad382a406aaaafd8eb0f9c746361189d47dbe4daf96bd4c8",
     "q13": "fae1baafd7d932a6c0b7ceb514ed8c020daadbda2853d8bde03c7f9c3f4ca7f5",
@@ -218,8 +219,8 @@ def test_idle_steps_are_skipped(data, sparse, monkeypatch):
 @pytest.mark.parametrize("case", ["q5_sliding", "q8_exactly_once_crash"])
 def test_watermark_frame_keeps_output_and_trigger_times(data, monkeypatch, case):
     """Sources throttled to the window frame close every window on the
-    same source event as unthrottled ones: same output, same trigger
-    latencies, fewer watermark calls."""
+    same source event as unthrottled ones: here the output and the
+    trigger latencies are the same, with fewer watermark calls."""
     if case == "q5_sliding":
         pipeline = qj.q5_pipeline(size_ms=1_000, slide_ms=100)
         sources, cfg, fail_at, proc = {"bids": qj.bid_events(data)}, CFG, None, WindowCombiner
