@@ -69,7 +69,7 @@ def generate(
     n = max(1, int(rate * duration_s))
     g = _rng(seed)
     idx = np.arange(n, dtype=np.int64)
-    # a float rate makes the quotient float; int64 already is a no-op
+    # a float rate gives a float quotient; on int64 the cast is a no-op
     ts = t0_ms + ((idx * 1000) // rate).astype(np.int64, copy=False)
     slot = idx % S.TOTAL_PROPORTION
     is_person = slot < S.PERSON_PROPORTION
