@@ -42,7 +42,7 @@ from ..imdg.partition import partition_id
 from .dag import DAG
 from .gc_model import GcConfig, PauseTracker, pause_schedule
 from .processors import ExternalStore, SinkProcessor
-from .queues import NetworkChannel, SPSCQueue
+from .queues import ACK_INTERVAL_MS, NetworkChannel, SPSCQueue
 from .source import SourceTasklet
 from .tasklet import InboundChannel, OutboundEdge, Tasklet
 
@@ -55,18 +55,18 @@ class SimConfig:
     slice_ms: float = 0.5
     queue_capacity: int = 1024
     net_latency_ms: float = 0.5
-    ack_interval_ms: float = 100.0
-    receive_window_ms: float = 300.0
     cost_per_item_ms: float = 0.0005
-    run_overhead_ms: float = 0.0005
     inbox_limit: int = 256
-    source_batch: int = 256
     guarantee: str = "none"  # none | at-least-once | exactly-once
     snapshot_interval_ms: float | None = None
     backup_count: int = 1
     gc: GcConfig | None = None
-    max_sim_ms: float = 600_000.0
     seed: int = 1
+
+
+#: Simulated-time horizon of a job: past it the run is taken for a
+#: livelock. GC pause schedules are drawn up to the same horizon.
+MAX_SIM_MS = 600_000.0
 
 
 @dataclass
@@ -205,10 +205,6 @@ class JetEngine:
             for pid in range(n_parts)
         ]
 
-    def _route_key(self, key, n_inst: int) -> int:
-        """Partitioned-edge routing aligned with the IMDG table (§4.1)."""
-        return self._partition_owners(n_inst)[partition_id(key, self.cluster.n_partitions)]
-
     def _imap(self, name: str) -> IMap:
         if name not in self._imaps:
             self._imaps[name] = IMap(name, self.cluster)
@@ -229,15 +225,8 @@ class JetEngine:
 
         def mk_queue(src_loc, dst_loc):
             if src_loc[0] == dst_loc[0]:
-                return SPSCQueue(cfg.queue_capacity), False
-            return (
-                NetworkChannel(
-                    latency_ms=cfg.net_latency_ms,
-                    ack_interval_ms=cfg.ack_interval_ms,
-                    window_ms=cfg.receive_window_ms,
-                ),
-                True,
-            )
+                return SPSCQueue(cfg.queue_capacity)
+            return NetworkChannel(latency_ms=cfg.net_latency_ms)
 
         # routes hold the partition owners, not the engine: a finished
         # job is freed without a cyclic collection
@@ -257,11 +246,9 @@ class JetEngine:
                         targets = list(range(n_dst))
                     queues = []
                     for ti, t in enumerate(targets):
-                        q, remote = mk_queue(src_loc, self._loc(e.dst, t))
+                        q = mk_queue(src_loc, self._loc(e.dst, t))
                         queues.append(q)
-                        inbound[(e.dst, t)].append(
-                            InboundChannel(q, remote=remote, ordinal=e.ordinal)
-                        )
+                        inbound[(e.dst, t)].append(InboundChannel(q, ordinal=e.ordinal))
                     if e.routing == "partitioned":
                         route = lambda p, kf=e.key_fn, own=owners[n_dst], n=n_parts: own[
                             partition_id(kf(p), n)
@@ -281,9 +268,7 @@ class JetEngine:
                     out_edges.get((sname, k), []),
                     ooo_lag_ms=sv.ooo_lag_ms,
                     wm_frame_ms=sv.wm_frame_ms,
-                    batch=cfg.source_batch,
                     cost_per_item_ms=cfg.cost_per_item_ms / 2,
-                    run_overhead_ms=cfg.run_overhead_ms,
                     on_snapshot=self._mk_source_snapshot_cb(sname, k),
                 )
                 self.source_tasklets[(sname, k)] = st
@@ -305,7 +290,6 @@ class JetEngine:
                     exactly_once=cfg.guarantee == "exactly-once",
                     inbox_limit=cfg.inbox_limit,
                     cost_per_item_ms=cfg.cost_per_item_ms,
-                    run_overhead_ms=cfg.run_overhead_ms,
                     on_snapshot=self._mk_snapshot_cb(vname, k),
                     metrics=self.metrics,
                 )
@@ -316,9 +300,7 @@ class JetEngine:
         # GC pause schedules, one per node
         if cfg.gc is not None:
             self._pauses = [
-                PauseTracker(
-                    pause_schedule(cfg.max_sim_ms, cfg.gc, seed=cfg.seed * 1000 + n)
-                )
+                PauseTracker(pause_schedule(MAX_SIM_MS, cfg.gc, seed=cfg.seed * 1000 + n))
                 for n in range(self.n_nodes)
             ]
         else:
@@ -499,7 +481,7 @@ class JetEngine:
 
     def _tick(self) -> None:
         self.now += self.cfg.slice_ms
-        if self.now - self.t0 > self.cfg.max_sim_ms:
+        if self.now - self.t0 > MAX_SIM_MS:
             raise RuntimeError("simulation horizon exceeded — livelock?")
 
     def _skip_idle_steps(self, running: list[Worker], schedule: list) -> None:
@@ -532,7 +514,7 @@ class JetEngine:
             end = self.now + cfg.slice_ms
             # the predicates the runs and the coordinator use, at the
             # latest time a run in this step could see
-            if end >= due or not end - ack_from < cfg.ack_interval_ms:
+            if end >= due or not end - ack_from < ACK_INTERVAL_MS:
                 break
             if schedule and self.now >= self.t0 + schedule[0][0]:
                 break

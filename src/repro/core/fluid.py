@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gc_model import G1_TUNED, GcConfig, pause_schedule
+from .queues import ACK_INTERVAL_MS
 
 #: Per-item processing cost in µs per query (calibrated so a windowed
 #: aggregate saturates a core at ~2 M ev/s — §4.6, Fig 7).
@@ -48,10 +49,6 @@ WINDOWED = {"q5", "q8"}
 
 #: Result-emission cost per key-result, µs.
 EMIT_COST_US = 0.5
-
-#: §3.3 constants.
-ACK_INTERVAL_MS = 100.0
-RECEIVE_WINDOW_MS = 300.0
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,11 @@ from math import inf
 #: Jet's default edge queue capacity (1024 items per SPSC queue).
 DEFAULT_CAPACITY = 1024
 
+#: §3.3 flow control: the receiver acks every 100 ms, granting a
+#: receive window of ~300 ms worth of its consumption rate.
+ACK_INTERVAL_MS = 100.0
+RECEIVE_WINDOW_MS = 300.0
+
 
 class SPSCQueue:
     """Bounded FIFO with non-blocking offer/poll."""
@@ -70,8 +75,8 @@ class NetworkChannel:
         self,
         *,
         latency_ms: float = 0.5,
-        ack_interval_ms: float = 100.0,
-        window_ms: float = 300.0,
+        ack_interval_ms: float = ACK_INTERVAL_MS,
+        window_ms: float = RECEIVE_WINDOW_MS,
         initial_credits: int = 4096,
         capacity: int = 1 << 20,
     ):

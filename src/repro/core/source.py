@@ -31,7 +31,7 @@ due yet returns at once: the full run would do nothing either.
 from math import inf
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
-from .tasklet import OutboundEdge, OutputBuffer
+from .tasklet import RUN_OVERHEAD_MS, OutboundEdge, OutputBuffer
 
 
 class SourceTasklet:
@@ -48,7 +48,6 @@ class SourceTasklet:
         wm_frame_ms: int = 0,
         batch: int = 256,
         cost_per_item_ms: float = 0.0002,
-        run_overhead_ms: float = 0.001,
         on_snapshot=None,
     ):
         self.name = name
@@ -59,7 +58,6 @@ class SourceTasklet:
         self.wm_frame_ms = wm_frame_ms
         self.batch = batch
         self.cost_per_item_ms = cost_per_item_ms
-        self.run_overhead_ms = run_overhead_ms
         self.on_snapshot = on_snapshot
         self.offset = 0
         self.done = False
@@ -103,7 +101,7 @@ class SourceTasklet:
 
     def skip_idle_runs(self, n: int) -> float:
         """The cost of one of ``n`` skipped idle runs (they change nothing)."""
-        return 0.0 if self.done else self.run_overhead_ms / 4
+        return 0.0 if self.done else RUN_OVERHEAD_MS / 4
 
     def run(self, now_ms: float) -> tuple[bool, float]:
         """One cooperative step: barrier first, then a batch of events,
@@ -111,7 +109,7 @@ class SourceTasklet:
         if self.done:
             return False, 0.0
         if self._waiting() and self.events[self.offset][0] > now_ms:
-            return False, self.run_overhead_ms / 4
+            return False, RUN_OVERHEAD_MS / 4
         if not self._flush_control(now_ms):
             return False, 0.0
         progress = False
@@ -125,7 +123,7 @@ class SourceTasklet:
             if not self._flush_control(now_ms):
                 # barrier must reach the queues before any post-offset
                 # event; retry next run, emitting nothing now
-                return True, self.run_overhead_ms
+                return True, RUN_OVERHEAD_MS
         emitted = 0
         max_arrival = -1
         while self.offset < len(self.events) and emitted < self.batch:
@@ -153,5 +151,5 @@ class SourceTasklet:
             progress = True
         if self._flush_control(now_ms) and self._finishing:
             self.done = True
-        cost = self.run_overhead_ms + emitted * self.cost_per_item_ms
-        return progress, cost if progress else self.run_overhead_ms / 4
+        cost = RUN_OVERHEAD_MS + emitted * self.cost_per_item_ms
+        return progress, cost if progress else RUN_OVERHEAD_MS / 4

@@ -33,6 +33,10 @@ from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
 from .processors import Processor
 from .queues import NetworkChannel, SPSCQueue
 
+#: Simulated cost of one run besides its items (ms); a run that finds
+#: nothing to do costs a quarter of it. Shared by source tasklets.
+RUN_OVERHEAD_MS = 0.0005
+
 
 class InboundChannel:
     """Consumer-side view of one inbound queue (local or network).
@@ -42,9 +46,8 @@ class InboundChannel:
     sharing one ordinal.
     """
 
-    def __init__(self, queue, *, remote: bool = False, ordinal: int = 0):
+    def __init__(self, queue, *, ordinal: int = 0):
         self.queue = queue
-        self.remote = remote
         self.ordinal = ordinal
         self.wm = -1  # highest watermark seen on this channel
         self.done = False
@@ -151,7 +154,6 @@ class Tasklet:
         exactly_once: bool = True,
         inbox_limit: int = 256,
         cost_per_item_ms: float = 0.0005,
-        run_overhead_ms: float = 0.001,
         on_snapshot=None,
         metrics=None,
     ):
@@ -165,7 +167,6 @@ class Tasklet:
         self.exactly_once = exactly_once
         self.inbox_limit = inbox_limit
         self.cost_per_item_ms = cost_per_item_ms
-        self.run_overhead_ms = run_overhead_ms
         self.on_snapshot = on_snapshot  # fn(sid, tasklet) -> None
         self.metrics = metrics
         self.done = False
@@ -226,7 +227,7 @@ class Tasklet:
         if self.done:
             return 0.0
         self._rr_input += n
-        return self.run_overhead_ms / 4
+        return RUN_OVERHEAD_MS / 4
 
     def _take_snapshot(self, sid: int) -> None:
         if self.on_snapshot is not None:
@@ -248,12 +249,12 @@ class Tasklet:
             return False, 0.0
         if self._idle(now_ms):
             self._rr_input += 1
-            return False, self.run_overhead_ms / 4
+            return False, RUN_OVERHEAD_MS / 4
         self.processor.now_ms = now_ms  # simulated clock for trigger stamps
         progress = False
         # 1. drain any backed-up output first; no new input while blocked
         if not self.out.flush(now_ms):
-            return False, self.run_overhead_ms / 4
+            return False, RUN_OVERHEAD_MS / 4
 
         # 2. drain inputs into the inbox
         inbox: list[tuple[int, Event]] = []
@@ -315,7 +316,7 @@ class Tasklet:
         flushed = self.out.flush(now_ms)
         if self._finishing and flushed:
             self.done = True
-        cost = self.run_overhead_ms + len(inbox) * self.cost_per_item_ms
+        cost = RUN_OVERHEAD_MS + len(inbox) * self.cost_per_item_ms
         if self.metrics is not None and inbox:
             self.metrics.add_items(self.name, len(inbox))
-        return progress or not flushed, cost if (progress or inbox) else self.run_overhead_ms / 4
+        return progress or not flushed, cost if (progress or inbox) else RUN_OVERHEAD_MS / 4

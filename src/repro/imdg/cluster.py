@@ -23,7 +23,6 @@ class Node:
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.alive = True
         self.storage: dict[str, dict[int, dict]] = {}
 
     def frag(self, map_name: str, pid: int) -> dict:
@@ -79,8 +78,7 @@ class Cluster:
 
     def fail_node(self, node_id: int) -> None:
         """Crash a member: its replicas are gone; promote + re-backup."""
-        node = self.nodes.pop(node_id)
-        node.alive = False
+        self.nodes.pop(node_id)
         if not self.nodes:
             raise DataLossError("last member failed")
         self._rebalance(lost_node=node_id)

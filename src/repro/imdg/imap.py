@@ -1,15 +1,14 @@
-"""IMap: the distributed, observable, queryable map of the grid.
+"""IMap: the distributed map of the grid.
 
 The paper's Jet stores every state snapshot in an ``IMap`` (§2.4,
 §4.1): a key-value structure partitioned across the cluster with
 primary + backup replicas. This module provides that interface over
-:class:`repro.imdg.cluster.Cluster`, plus the query/scan operations the
-engine uses to restore processor state per partition.
+:class:`repro.imdg.cluster.Cluster`, plus the cluster-wide scan the
+engine uses to restore processor state.
 """
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .cluster import Cluster
-from .partition import partition_id
 
 
 class IMap:
@@ -25,22 +24,17 @@ class IMap:
         self.name = name
         self.cluster = cluster
         cluster.register_map(name)
-        self._listeners: list[Callable[[str, object, object], None]] = []
 
     # -- basic ops ------------------------------------------------------
 
     def put(self, key, value) -> None:
         self.cluster.put(self.name, key, value)
-        for fn in self._listeners:
-            fn("put", key, value)
 
     def get(self, key):
         return self.cluster.get(self.name, key)
 
     def remove(self, key) -> None:
         self.cluster.remove(self.name, key)
-        for fn in self._listeners:
-            fn("remove", key, None)
 
     def put_all(self, entries: dict) -> None:
         for k, v in entries.items():
@@ -52,28 +46,9 @@ class IMap:
     def __contains__(self, key) -> bool:
         return self.get(key) is not None
 
-    # -- scans / queries ------------------------------------------------
+    # -- scans ----------------------------------------------------------
 
     def entry_set(self) -> Iterator[tuple[object, object]]:
         """Iterate all entries from primary replicas (cluster-wide scan)."""
         for pid in range(self.cluster.n_partitions):
             yield from self.cluster.primary_frag(self.name, pid).items()
-
-    def values(self, predicate: Callable[[object], bool] | None = None) -> list:
-        """Queryable-map scan: all values, optionally filtered."""
-        return [v for _, v in self.entry_set() if predicate is None or predicate(v)]
-
-    def partition_entries(self, pid: int) -> dict:
-        """Snapshot of one partition's primary fragment (engine restore
-        path: each processor instance reads only its own partitions)."""
-        return dict(self.cluster.primary_frag(self.name, pid))
-
-    def partition_of(self, key) -> int:
-        return partition_id(key, self.cluster.n_partitions)
-
-    # -- observability --------------------------------------------------
-
-    def add_listener(self, fn: Callable[[str, object, object], None]) -> None:
-        """Register an entry listener (the CDC / view-maintenance hook
-        from §6); called as ``fn(op, key, value)`` after each mutation."""
-        self._listeners.append(fn)

@@ -57,18 +57,6 @@ class PartitionTable:
     def primary(self, pid: int) -> int:
         return self.table[pid][0]
 
-    def partitions_owned_by(self, node_id: int, *, replica: int | None = None) -> list[int]:
-        """Partitions for which ``node_id`` holds the given replica index
-        (``None`` = any replica)."""
-        out = []
-        for pid, owners in enumerate(self.table):
-            if replica is None:
-                if node_id in owners:
-                    out.append(pid)
-            elif replica < len(owners) and owners[replica] == node_id:
-                out.append(pid)
-        return out
-
     @classmethod
     def assign(
         cls,

@@ -12,14 +12,13 @@ Windows are epoch-aligned on ``ts_ms`` (milliseconds), computed
 arithmetically — ``(ts_ms / slide) * slide`` — on both sides, so the
 comparison never depends on timezone or timestamp-type semantics.
 
-The paper evaluates Q1, Q2, Q5, Q8 and Q13 (§7.1) and describes Q3, Q4,
-Q6, Q7 as well; all nine are implemented.
+The paper evaluates Q1, Q2, Q5, Q8 and Q13 (§7.1); those five are the
+queries implemented here.
 """
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
-from .schema import N_CATEGORIES, Q3_STATES, USD_TO_EUR
+from .schema import USD_TO_EUR
 
 # --------------------------------------------------------------------------
 # Q1 — currency conversion (map)
@@ -55,65 +54,6 @@ def q2(bids: DataFrame) -> DataFrame:
 
 
 Q2_SQL = f"SELECT auction, price FROM bids WHERE auction % {Q2_MOD} = 0"
-
-# --------------------------------------------------------------------------
-# Q3 — local item suggestion (incremental join + filter)
-# --------------------------------------------------------------------------
-
-
-def q3(persons: DataFrame, auctions: DataFrame) -> DataFrame:
-    """Sellers in OR/ID/CA with open auctions in category 10."""
-    p = persons.filter(F.col("state").isin(*Q3_STATES))
-    a = auctions.filter(F.col("category") == 10)
-    return p.join(a, p["id"] == a["seller"]).select(
-        p["name"], p["city"], p["state"], a["id"].alias("auction_id")
-    )
-
-
-Q3_SQL = f"""
-SELECT p.name, p.city, p.state, a.id AS auction_id
-FROM persons p JOIN auctions a ON p.id = a.seller
-WHERE p.state IN {Q3_STATES!r} AND a.category = 10
-"""
-
-# --------------------------------------------------------------------------
-# Q4 — average closing price per category (join + window + aggregate)
-# --------------------------------------------------------------------------
-
-
-def q4(auctions: DataFrame, bids: DataFrame) -> DataFrame:
-    """Average winning-bid price per category over closed auctions.
-
-    A bid participates if it falls inside the auction's lifetime
-    (``ts_ms`` .. ``expires_ms``); the winning bid is the maximum price.
-    Auctions that attracted no valid bid are excluded (as in Beam).
-    """
-    joined = auctions.alias("a").join(
-        bids.alias("b"),
-        (F.col("b.auction") == F.col("a.id"))
-        & (F.col("b.ts_ms") >= F.col("a.ts_ms"))
-        & (F.col("b.ts_ms") < F.col("a.expires_ms")),
-    )
-    winning = joined.groupBy(
-        F.col("a.id").alias("auction_id"),
-        F.col("a.ts_ms").alias("a_ts"),
-        F.col("a.category").alias("category"),
-    ).agg(F.max("b.price").alias("final_price"))
-    return winning.groupBy("category").agg(
-        F.round(F.avg("final_price"), 2).alias("avg_price")
-    )
-
-
-Q4_SQL = """
-WITH winning AS (
-  SELECT a.id, a.ts_ms, a.category, MAX(b.price) AS final_price
-  FROM auctions a JOIN bids b
-    ON b.auction = a.id AND b.ts_ms >= a.ts_ms AND b.ts_ms < a.expires_ms
-  GROUP BY a.id, a.ts_ms, a.category
-)
-SELECT category, ROUND(AVG(final_price), 2) AS avg_price
-FROM winning GROUP BY category
-"""
 
 # --------------------------------------------------------------------------
 # Sliding-window helper shared by Q5 (and the Jet engine tests)
@@ -187,87 +127,6 @@ FROM counts c
 JOIN (SELECT window_start, MAX(n_bids) AS max_bids
       FROM counts GROUP BY window_start) m
   ON c.window_start = m.window_start AND c.n_bids = m.max_bids
-"""
-
-# --------------------------------------------------------------------------
-# Q6 — average selling price of each seller's last 10 closed auctions
-# --------------------------------------------------------------------------
-
-
-def q6(auctions: DataFrame, bids: DataFrame, *, last_n: int = 10) -> DataFrame:
-    """Per seller, the average winning price of the last ``last_n``
-    closed auctions (ordered by auction expiry; the paper's "specialized
-    combiner")."""
-    joined = auctions.alias("a").join(
-        bids.alias("b"),
-        (F.col("b.auction") == F.col("a.id"))
-        & (F.col("b.ts_ms") >= F.col("a.ts_ms"))
-        & (F.col("b.ts_ms") < F.col("a.expires_ms")),
-    )
-    winning = joined.groupBy(
-        F.col("a.seller").alias("seller"),
-        F.col("a.id").alias("auction_id"),
-        F.col("a.expires_ms").alias("expires_ms"),
-        F.col("a.ts_ms").alias("a_ts"),
-    ).agg(F.max("b.price").alias("final_price"))
-    w = Window.partitionBy("seller").orderBy(
-        F.desc("expires_ms"), F.desc("auction_id"), F.desc("a_ts")
-    )
-    return (
-        winning.withColumn("rn", F.row_number().over(w))
-        .filter(F.col("rn") <= last_n)
-        .groupBy("seller")
-        .agg(F.round(F.avg("final_price"), 2).alias("avg_price"))
-    )
-
-
-def q6_sql(*, last_n: int = 10) -> str:
-    """DuckDB SQL equivalent of :func:`q6`."""
-    return f"""
-WITH winning AS (
-  SELECT a.seller, a.id AS auction_id, a.expires_ms, a.ts_ms AS a_ts,
-         MAX(b.price) AS final_price
-  FROM auctions a JOIN bids b
-    ON b.auction = a.id AND b.ts_ms >= a.ts_ms AND b.ts_ms < a.expires_ms
-  GROUP BY a.seller, a.id, a.expires_ms, a.ts_ms
-),
-ranked AS (
-  SELECT *, ROW_NUMBER() OVER (
-    PARTITION BY seller ORDER BY expires_ms DESC, auction_id DESC, a_ts DESC
-  ) AS rn
-  FROM winning
-)
-SELECT seller, ROUND(AVG(final_price), 2) AS avg_price
-FROM ranked WHERE rn <= {last_n} GROUP BY seller
-"""
-
-# --------------------------------------------------------------------------
-# Q7 — highest bid per tumbling window
-# --------------------------------------------------------------------------
-
-
-def q7(bids: DataFrame, *, size_ms: int = 10_000) -> DataFrame:
-    """Bids matching the maximum price of their tumbling window."""
-    with_win = bids.withColumn(
-        "window_start", (F.col("ts_ms") / size_ms).cast("long") * size_ms
-    )
-    max_per_win = with_win.groupBy("window_start").agg(F.max("price").alias("max_price"))
-    return (
-        with_win.join(max_per_win, "window_start")
-        .filter(F.col("price") == F.col("max_price"))
-        .select("window_start", "auction", "bidder", "price")
-    )
-
-
-def q7_sql(*, size_ms: int = 10_000) -> str:
-    """DuckDB SQL equivalent of :func:`q7`."""
-    return f"""
-WITH w AS (SELECT *, (ts_ms // {size_ms}) * {size_ms} AS window_start FROM bids)
-SELECT w.window_start, w.auction, w.bidder, w.price
-FROM w
-JOIN (SELECT window_start, MAX(price) AS max_price
-      FROM w GROUP BY window_start) m
-  ON w.window_start = m.window_start AND w.price = m.max_price
 """
 
 # --------------------------------------------------------------------------

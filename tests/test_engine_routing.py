@@ -2,44 +2,64 @@
 import pytest
 
 from repro.core.engine import JetEngine, SimConfig
+from repro.core.processors import PaneRecord
 from repro.imdg.partition import partition_id
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
 
 
-@pytest.fixture
-def engine():
+def mk_engine(n_nodes=3, threads_per_node=2):
     data = gen.generate(rate=1_000, duration_s=0.3, n_keys=50, seed=1)
     return JetEngine(
         qj.q5_pipeline(size_ms=500, slide_ms=250).compile(),
         {"bids": qj.bid_events(data)},
-        n_nodes=3,
-        cfg=SimConfig(threads_per_node=2),
+        n_nodes=n_nodes,
+        cfg=SimConfig(threads_per_node=threads_per_node),
     )
 
 
+@pytest.fixture
+def engine():
+    return mk_engine()
+
+
+def routes(engine, keys) -> dict:
+    """The combiner instance each key's pane partials are sent to, by
+    the partitioned edge of every built ``q5.accumulate`` tasklet: all
+    of them must agree, and the queue picked must feed that instance."""
+    per_tasklet = []
+    for (vname, _), t in engine.tasklets.items():
+        if vname != "q5.accumulate":
+            continue
+        edge = t.out.edge
+        picked = {k: edge.route(PaneRecord(k, 0, 1)) for k in keys}
+        for inst in set(picked.values()):
+            combiner = engine.tasklets[("q5.combine", inst)]
+            assert any(c.queue is edge.queues[inst] for c in combiner.inputs)
+        per_tasklet.append(picked)
+    assert per_tasklet and all(r == per_tasklet[0] for r in per_tasklet)
+    return per_tasklet[0]
+
+
 def test_routing_targets_partition_primary(engine):
-    for key in range(40):
-        inst = engine._route_key(key, engine.n_nodes * engine.T)
+    for key, inst in routes(engine, range(40)).items():
         node_idx = inst // engine.T
         pid = partition_id(key, engine.cluster.n_partitions)
         assert engine.node_members[node_idx] == engine.cluster.table.primary(pid)
 
 
 def test_routing_deterministic(engine):
-    a = [engine._route_key(k, 6) for k in range(100)]
-    b = [engine._route_key(k, 6) for k in range(100)]
-    assert a == b
+    assert routes(engine, range(100)) == routes(mk_engine(), range(100))
 
 
-def test_routing_single_instance_vertex_always_zero(engine):
-    assert all(engine._route_key(k, 1) == 0 for k in range(50))
+def test_routing_single_instance_vertex_always_zero():
+    assert set(routes(mk_engine(n_nodes=1, threads_per_node=1), range(50)).values()) == {0}
 
 
 def test_routing_follows_table_after_failover(engine):
-    before = {k: engine._route_key(k, 6) for k in range(100)}
+    before = routes(engine, range(100))
     engine.fail_node(1)
-    after = {k: engine._route_key(k, 6) for k in range(100)}
+    after = routes(engine, range(100))
     # keys owned by surviving nodes keep their route (consistent
     # hashing); keys owned by the failed node move
     moved = sum(1 for k in before if before[k] != after[k])

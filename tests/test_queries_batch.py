@@ -44,24 +44,6 @@ def test_q2_only_divisible_auctions(frames):
     assert all(r.auction % q.Q2_MOD == 0 for r in rows)
 
 
-def test_q3_join_filter(frames, data):
-    assert_equivalent(
-        q.q3(frames["persons"], frames["auctions"]),
-        q.Q3_SQL,
-        persons=data.persons,
-        auctions=data.auctions,
-    )
-
-
-def test_q4_avg_price_by_category(frames, data):
-    assert_equivalent(
-        q.q4(frames["auctions"], frames["bids"]),
-        q.Q4_SQL,
-        auctions=data.auctions,
-        bids=data.bids,
-    )
-
-
 @pytest.mark.parametrize("size_ms,slide_ms", [(10_000, 2_000), (4_000, 1_000), (5_000, 5_000)])
 def test_q5_hot_items(frames, data, size_ms, slide_ms):
     assert_equivalent(
@@ -77,34 +59,6 @@ def test_sliding_window_explosion_count(spark):
     exploded = q.with_sliding_windows(bids, size_ms=1_000, slide_ms=250)
     # every event falls in exactly size/slide = 4 windows
     assert exploded.count() == bids.count() * 4
-
-
-def test_q6_last10_average(frames, data):
-    assert_equivalent(
-        q.q6(frames["auctions"], frames["bids"]),
-        q.q6_sql(),
-        auctions=data.auctions,
-        bids=data.bids,
-    )
-
-
-@pytest.mark.parametrize("last_n", [1, 3])
-def test_q6_last_n_variants(frames, data, last_n):
-    assert_equivalent(
-        q.q6(frames["auctions"], frames["bids"], last_n=last_n),
-        q.q6_sql(last_n=last_n),
-        auctions=data.auctions,
-        bids=data.bids,
-    )
-
-
-@pytest.mark.parametrize("size_ms", [2_000, 10_000])
-def test_q7_highest_bid(frames, data, size_ms):
-    assert_equivalent(
-        q.q7(frames["bids"], size_ms=size_ms),
-        q.q7_sql(size_ms=size_ms),
-        bids=data.bids,
-    )
 
 
 @pytest.mark.parametrize("size_ms", [2_000, 10_000])
