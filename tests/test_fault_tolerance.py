@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.core.engine import JetEngine, SimConfig
+from repro.imdg.cluster import DataLossError
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
 
@@ -134,6 +135,23 @@ def test_exactly_once_q8_crash_equals_clean_run(data):
     assert multiset(crashed.results(), cols) == multiset(clean.results(), cols)
 
 
+def test_crash_without_backups_raises_data_loss(data):
+    """With ``backup_count=0`` the crashed member held the only replica
+    of its partitions, snapshots included: recovery cannot restore the
+    job and must say so, not restart from an incomplete snapshot."""
+    eng = JetEngine(
+        qj.q5_pipeline(size_ms=1_000, slide_ms=250).compile(),
+        {"bids": qj.bid_events(data)},
+        n_nodes=2,
+        cfg=SimConfig(
+            threads_per_node=2, guarantee="exactly-once", snapshot_interval_ms=250, backup_count=0
+        ),
+    )
+    with pytest.raises(DataLossError):
+        eng.run(fail_at=[(600, 1)])
+    assert eng.metrics.snapshots_completed >= 1
+
+
 def test_finished_engine_is_freed_without_cyclic_gc(data):
     """No reference cycle runs through the engine (trigger recording,
     partitioned routes, snapshot callbacks), so dropping the last
@@ -225,6 +243,7 @@ def test_double_crash_still_exactly_once(data):
 _RESTORE_RUN = """
 import json
 from repro.core.engine import JetEngine, SimConfig
+from repro.imdg.cluster import DataLossError
 from repro.core.processors import PaneAccumulator
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
