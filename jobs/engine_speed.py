@@ -1,10 +1,11 @@
 """Exact-engine wall-clock speed: input events per second of wall time.
 
-Runs Q1, Q5, Q8 and Q13 on 2 nodes × 2 cooperative threads, plus Q5 at
-the paper's Fig 7 window geometry (10 s window, 10 ms slide), and prints
-one JSON object: per case, the number of source events the job reads,
-the median wall time of ``JetEngine.run`` over the repeats and the
-events/s it gives.
+Runs Q1, Q5, Q8 and Q13 on 2 nodes × 2 cooperative threads, Q5 at the
+paper's Fig 7 window geometry (10 s window, 10 ms slide), and Q5 at the
+paper's per-node geometry (5 nodes × 12 threads), and prints one JSON
+object: per case, the number of source events the job reads, the median
+wall time of ``JetEngine.run`` over the repeats and the events/s it
+gives.
 
     PYTHONPATH=src python jobs/engine_speed.py [CASE ...]
 
@@ -20,9 +21,6 @@ from repro.core.engine import JetEngine, SimConfig
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
 
-CFG = SimConfig(threads_per_node=2, slice_ms=0.5)
-
-
 def _dense():
     return gen.generate(rate=8_000, duration_s=1.0, n_keys=300, seed=5)
 
@@ -35,14 +33,15 @@ def _q13(d):
     }
 
 
-#: case -> (input maker, pipeline and sources for that input, repeats)
+def _q5_1s_100ms(d):
+    return qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(d)}
+
+
+#: case -> (input maker, pipeline and sources for that input, repeats,
+#: nodes, threads per node)
 CASES = {
-    "q1": (_dense, lambda d: (qj.q1_pipeline(), {"bids": qj.bid_events(d)}), 3),
-    "q5_1s_100ms": (
-        _dense,
-        lambda d: (qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(d)}),
-        3,
-    ),
+    "q1": (_dense, lambda d: (qj.q1_pipeline(), {"bids": qj.bid_events(d)}), 3, 2, 2),
+    "q5_1s_100ms": (_dense, _q5_1s_100ms, 3, 2, 2),
     "q8": (
         _dense,
         lambda d: (
@@ -50,24 +49,36 @@ CASES = {
             {"persons": qj.person_events(d), "auctions": qj.auction_events(d)},
         ),
         3,
+        2,
+        2,
     ),
-    "q13": (_dense, _q13, 3),
+    "q13": (_dense, _q13, 3, 2, 2),
     "q5_10s_10ms": (
         lambda: gen.generate(rate=200, duration_s=11.0, n_keys=50, seed=7),
         lambda d: (qj.q5_pipeline(size_ms=10_000, slide_ms=10), {"bids": qj.bid_events(d)}),
         1,
+        2,
+        2,
+    ),
+    "q5_5x12": (
+        lambda: gen.generate(rate=4_000, duration_s=2.0, n_keys=300, seed=5),
+        _q5_1s_100ms,
+        1,
+        5,
+        12,
     ),
 }
 
 
 def measure(name: str) -> dict:
-    make_data, make_job, repeats = CASES[name]
+    make_data, make_job, repeats, n_nodes, threads = CASES[name]
+    cfg = SimConfig(threads_per_node=threads, slice_ms=0.5)
     data = make_data()
     walls, events = [], 0
     for _ in range(repeats):
         pipeline, sources = make_job(data)
         events = sum(len(s) for s in sources.values())
-        eng = JetEngine(pipeline.compile(), sources, n_nodes=2, cfg=CFG)
+        eng = JetEngine(pipeline.compile(), sources, n_nodes=n_nodes, cfg=cfg)
         t = time.perf_counter()
         eng.run()
         walls.append(time.perf_counter() - t)
