@@ -26,7 +26,18 @@ class Event:
     ts_ms: int
 
     def with_payload(self, payload) -> "Event":
-        return Event(payload, self.ts_ms)
+        return self.__class__(payload, self.ts_ms)
+
+
+@dataclass(frozen=True)
+class FlushedEvent(Event):
+    """An event emitted by the end-of-stream flush (watermark ``WM_MAX``).
+
+    It is real output, but its window never closes in an unbounded
+    stream, and its ``ts_ms`` may lie after the clock: it stays out of
+    the §7.1 latency clock, as the flush's window triggers do.
+    Stateless stages keep the mark through :meth:`with_payload`.
+    """
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .items import WM_MAX, Event
+from .items import WM_MAX, Event, FlushedEvent
 
 
 class Processor:
@@ -513,7 +513,8 @@ class SinkProcessor(Processor):
         self.latencies: list[float] = []
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
-        self.latencies.append(self.now_ms - ev.ts_ms)
+        if not isinstance(ev, FlushedEvent):
+            self.latencies.append(self.now_ms - ev.ts_ms)
         if self.transactional:
             self.epoch.append(ev.payload)
         else:

@@ -29,7 +29,7 @@ even when a full downstream queue forces partial flushes.
 from collections import deque
 from math import inf
 
-from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
+from .items import WM_MAX, Barrier, EndOfStream, Event, FlushedEvent, Watermark
 from .processors import Processor
 from .queues import NetworkChannel, SPSCQueue
 
@@ -181,7 +181,10 @@ class Tasklet:
                 new_wm = c.wm
         if new_wm > self.wm:
             self.wm = new_wm
-            self.out.push_events(self.processor.on_watermark(self.wm))
+            out = self.processor.on_watermark(self.wm)
+            if self.wm == WM_MAX:
+                out = [FlushedEvent(ev.payload, ev.ts_ms) for ev in out]
+            self.out.push_events(out)
             self.out.push_control(Watermark(self.wm))
 
     def _barrier_ready(self) -> int | None:
