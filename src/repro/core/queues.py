@@ -84,7 +84,6 @@ class NetworkChannel:
         self.ack_interval_ms = ack_interval_ms
         self.window_ms = window_ms
         self.credits = initial_credits
-        self.initial_credits = initial_credits
         self._in_flight: deque = deque()  # (available_at_ms, item)
         self._ready: deque = deque()
         self.capacity = capacity

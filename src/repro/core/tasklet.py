@@ -64,9 +64,6 @@ class InboundChannel:
             return self.queue.poll(now_ms)
         return self.queue.poll()
 
-    def backlog(self) -> int:
-        return len(self.queue)
-
 
 class OutboundEdge:
     """Producer-side view of one outbound edge: N consumer queues plus a

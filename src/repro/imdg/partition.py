@@ -42,9 +42,8 @@ class PartitionTable:
     :meth:`migrations_from` — consistent hashing keeps the diff minimal.
     """
 
-    def __init__(self, table: list[list[int]], n_replicas: int):
+    def __init__(self, table: list[list[int]]):
         self.table = table
-        self.n_replicas = n_replicas
 
     @property
     def n_partitions(self) -> int:
@@ -87,7 +86,7 @@ class PartitionTable:
                     owners.append(nid)
                 i += 1
             table.append(owners)
-        return cls(table, n_replicas)
+        return cls(table)
 
     def migrations_from(self, old: "PartitionTable") -> list[tuple[int, int, int]]:
         """Replica movements needed to go from ``old`` to this table.
