@@ -1,10 +1,19 @@
 """Property-based tests: the two-stage windowing pipeline equals a
-brute-force sliding-window count on arbitrary inputs (hypothesis)."""
+brute-force sliding-window count, and the tumbling join a brute-force
+join, on arbitrary inputs (hypothesis)."""
+from itertools import accumulate
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.items import WM_MAX, Event
-from repro.core.processors import PaneAccumulator, WindowCombiner, WindowTop
+from repro.core.processors import (
+    PaneAccumulator,
+    TumblingJoin,
+    WindowCombiner,
+    WindowResult,
+    WindowTop,
+)
 
 EVENTS = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 199)),  # (key, ts)
@@ -25,6 +34,15 @@ def brute_force(events, size, slide):
                 out[(s, key)] = out.get((s, key), 0) + 1
             s -= slide
     return out
+
+
+def restored(proc, fresh):
+    """``fresh`` holding ``proc``'s saved state, as on recovery from a
+    snapshot."""
+    keyed, inst = proc.save_keyed(), proc.save_inst()
+    fresh.restore_keyed(keyed)
+    fresh.restore_inst(inst)
+    return fresh
 
 
 def run_two_stage(events, size, slide, *, n_partials=1, wm_steps=None, restore_at=None):
@@ -84,16 +102,20 @@ def test_incremental_watermarks_equal_one_shot(events, geom, restore_at):
 
 
 @settings(max_examples=25, deadline=None)
-@given(EVENTS)
-def test_window_top_equals_brute_force_max(events):
+@given(EVENTS, st.integers(0, 60) | st.none())
+def test_window_top_equals_brute_force_max(events, restore_at):
+    """``restore_at``: after that many window results the top stage is
+    saved and restored into a fresh instance."""
     size, slide = 40, 20
     counts = brute_force(events, size, slide)
     comb_out = run_two_stage(events, size, slide)
     top = WindowTop(size)
-    from repro.core.processors import WindowResult
-
-    for (ws, key), v in comb_out.items():
+    for i, ((ws, key), v) in enumerate(comb_out.items()):
+        if i == restore_at:
+            top = restored(top, WindowTop(size))
         top.process(Event(WindowResult(ws, ws + size, key, v, 0.0), ws + size - 1), 0)
+    if restore_at is not None and restore_at >= len(comb_out):
+        top = restored(top, WindowTop(size))
     got = {}
     for ev in top.on_watermark(WM_MAX):
         got.setdefault(ev.payload["window_start"], set()).add(
@@ -104,6 +126,65 @@ def test_window_top_equals_brute_force_max(events):
         best = max(per_key.values())
         want = {(k, best) for k, v in per_key.items() if v == best}
         assert got[ws] == want
+
+
+JOIN_EVENTS = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 199)),  # (side, key, ts)
+    max_size=60,
+)
+
+
+def run_tumbling_join(events, size, wm_steps, restore_at):
+    """Drive one join instance: before each watermark, feed the events
+    (in drawn order) that it would close; at step ``restore_at`` save
+    and restore into a fresh instance. Returns the emitted
+    ``(key, window)`` list and the window ends of the triggers fired."""
+    triggers = []
+
+    def join():
+        return TumblingJoin(
+            size,
+            lambda p: p["k"],
+            lambda p: p["k"],
+            lambda left, win: (left["k"], win),
+            on_trigger=lambda end, now: triggers.append(end),
+        )
+
+    j = join()
+    emitted = []
+    pending = list(events)
+    for step, wm in enumerate(wm_steps + [WM_MAX]):
+        for side, key, ts in [e for e in pending if e[2] < wm]:
+            j.process(Event({"k": key}, ts), side)
+        pending = [e for e in pending if e[2] >= wm]
+        if step == restore_at:
+            j = restored(j, join())
+        emitted += [ev.payload for ev in j.on_watermark(wm)]
+    return emitted, triggers
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    JOIN_EVENTS,
+    st.sampled_from([10, 20, 50]),
+    st.lists(st.integers(1, 60), max_size=8).map(lambda d: list(accumulate(d))),
+    st.integers(0, 8) | st.none(),
+)
+@example([(0, 1, 5), (1, 1, 6), (0, 2, 7), (1, 2, 8), (0, 3, 45), (1, 3, 46)], 10, [20], 0)
+@example([(0, 1, 12), (1, 1, 19)], 10, [19, 30], None)  # a window's last ms
+def test_tumbling_join_equals_brute_force(events, size, wm_steps, restore_at):
+    emitted, triggers = run_tumbling_join(events, size, wm_steps, restore_at)
+    sides = {}
+    for side, key, ts in events:
+        sides.setdefault((key, ts // size * size), set()).add(side)
+    matches = {kw for kw, seen in sides.items() if seen == {0, 1}}
+    assert len(emitted) == len(set(emitted)), "match emitted twice"
+    assert set(emitted) == matches
+    # a window closed by a finite watermark fires one trigger; one
+    # drained by the end-of-stream flush fires none
+    last_wm = max(wm_steps, default=-1)
+    closed = {win + size for _key, win in matches if win + size <= last_wm}
+    assert sorted(triggers) == sorted(closed)
 
 
 @settings(max_examples=30, deadline=None)
