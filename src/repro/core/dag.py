@@ -2,8 +2,9 @@
 
 The Core API is the intermediate representation the Pipeline API
 compiles into. A :class:`Vertex` carries a processor factory plus the
-metadata the engine needs for deployment (parallelism) and recovery
-(how to merge and re-route keyed state). An :class:`Edge` carries the
+metadata the engine needs for deployment (parallelism); how keyed
+state is merged and re-routed on recovery is the built processor's
+business (``merge``, ``record_key``). An :class:`Edge` carries the
 routing discipline:
 
 * ``one_to_one`` — local edge, instance *i* feeds instance *i*;
@@ -25,17 +26,14 @@ class Vertex:
 
     ``make(ctx, inst_idx)`` builds the processor for one instance.
     ``parallelism`` is ``"per_core"`` (the whole-DAG-on-every-core
-    deployment of §3.1) or ``"one"`` (single global instance).
-    ``merge`` combines two partial keyed-state values on restore;
-    ``state_record_key`` maps a keyed-state dict key to the record key
-    used for routing the restored entry.
+    deployment of §3.1) or ``"one"`` (single global instance). The
+    keyed-state contract (``save_keyed``, ``merge``, ``record_key``)
+    lives on the processor that ``make`` builds.
     """
 
     name: str
     make: Callable[[Any, int], Any]
     parallelism: str = "per_core"
-    merge: Callable[[Any, Any], Any] | None = None
-    state_record_key: Callable[[Any], Any] = staticmethod(lambda k: k)
     is_sink: bool = False
 
 

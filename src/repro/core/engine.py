@@ -308,8 +308,8 @@ class JetEngine:
 
     # -- snapshots (§4.4) ----------------------------------------------
 
-    def _snap_map(self, sid: int, vname: str) -> IMap:
-        return self._imap(f"__snap.{sid}.{vname}")
+    def _snap_name(self, sid: int, vname: str) -> str:
+        return f"__snap.{sid}.{vname}"
 
     def _inst_map(self, sid: int) -> IMap:
         return self._imap(f"__snap.{sid}.__inst")
@@ -337,7 +337,7 @@ class JetEngine:
             if isinstance(proc, SinkProcessor):
                 eng._inst_map(sid).put((vname, k), proc.prepare_epoch(sid))
             else:
-                snap = eng._snap_map(sid, vname)
+                snap = eng._imap(eng._snap_name(sid, vname))
                 for key, val in proc.save_keyed().items():
                     snap.put((k, key), val)
                 eng._inst_map(sid).put((vname, k), proc.save_inst())
@@ -425,20 +425,22 @@ class JetEngine:
         if sid is None:
             self._last_snap_ms = self.now
             return  # cold restart from offset 0 with empty state
-        # keyed state: merge partials per record key, re-route every entry
-        # by the current partition table (the same in every process),
-        # restore per instance
-        for vname, v in self.dag.vertices.items():
-            if v.merge is None:
-                continue
+        # keyed state: merge partials per state key, re-route every entry
+        # by its record key through the current partition table (the
+        # same in every process), restore per instance
+        for vname in self.dag.vertices:
+            snap = self._imaps.get(self._snap_name(sid, vname))
+            if snap is None:
+                continue  # no instance held keyed state
+            proc = self.procs[(vname, 0)]
             merged: dict = {}
-            for (_inst, key), val in self._snap_map(sid, vname).entry_set():
-                merged[key] = v.merge(merged[key], val) if key in merged else val
+            for (_inst, key), val in snap.entry_set():
+                merged[key] = proc.merge(merged[key], val) if key in merged else val
             owners = self._partition_owners(self._n_inst(vname))
             n_parts = self.cluster.n_partitions
             per_inst: dict[int, dict] = {}
             for key, val in merged.items():
-                inst = owners[partition_id(v.state_record_key(key), n_parts)]
+                inst = owners[partition_id(proc.record_key(key), n_parts)]
                 per_inst.setdefault(inst, {})[key] = val
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)

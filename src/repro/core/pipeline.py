@@ -196,12 +196,7 @@ class Pipeline:
                 size, slide = st.params["size_ms"], st.params["slide_ms"]
                 acc, comb = f"{st.name}.accumulate", f"{st.name}.combine"
                 dag.add_vertex(
-                    Vertex(
-                        acc,
-                        lambda ctx, k, kf=key_fn, sl=slide: PaneAccumulator(kf, sl),
-                        merge=PaneAccumulator.merge,
-                        state_record_key=lambda sk: sk[0],
-                    )
+                    Vertex(acc, lambda ctx, k, kf=key_fn, sl=slide: PaneAccumulator(kf, sl))
                 )
                 dag.add_edge(Edge(vertex_of(st.upstream[0]), acc))
                 dag.add_vertex(
@@ -210,8 +205,6 @@ class Pipeline:
                         lambda ctx, k, sz=size, sl=slide: WindowCombiner(
                             sz, sl, on_trigger=ctx.record_trigger
                         ),
-                        merge=WindowCombiner.merge,
-                        state_record_key=lambda sk: sk[0],
                     )
                 )
                 dag.add_edge(
@@ -221,12 +214,7 @@ class Pipeline:
                 if st.params["top"]:
                     topv = f"{st.name}.top"
                     dag.add_vertex(
-                        Vertex(
-                            topv,
-                            lambda ctx, k, sz=size: WindowTop(sz),
-                            parallelism="one",
-                            merge=WindowTop.merge,
-                        )
+                        Vertex(topv, lambda ctx, k, sz=size: WindowTop(sz), parallelism="one")
                     )
                     dag.add_edge(Edge(comb, topv, routing="to_one"))
                     out = topv
@@ -245,8 +233,6 @@ class Pipeline:
                             pp["emit"],
                             on_trigger=ctx.record_trigger,
                         ),
-                        merge=TumblingJoin.merge,
-                        state_record_key=lambda sk: sk[0],
                     )
                 )
                 dag.add_edge(
@@ -278,7 +264,6 @@ class Pipeline:
                         lambda ctx, k, pp=p: HashJoin(
                             pp["build_key"], pp["probe_key"], pp["merge_fn"]
                         ),
-                        merge=HashJoin.merge,
                     )
                 )
                 dag.add_edge(

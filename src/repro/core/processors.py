@@ -8,13 +8,15 @@ before every call, which window operators use to stamp trigger times
 for the paper's latency clock (§7.1).
 
 State contract for fault tolerance (§4.4): keyed state is exposed via
-``save_keyed``/``restore_keyed`` with a class-level ``merge`` so that
-partial accumulators from different instances can be merged on restore;
-instance-local state (source offsets, sink epochs) via
-``save_inst``/``restore_inst``.
+``save_keyed``/``restore_keyed``; on restore the engine merges partial
+values from different instances with the processor's ``merge`` and
+routes each entry by its ``record_key``. Instance-local state (source
+offsets, sink epochs) goes via ``save_inst``/``restore_inst``. Window
+stages keep keyed state in a :class:`PaneIndex`.
 """
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import add
 from typing import Any, Callable
 
 from .items import WM_MAX, Event, FlushedEvent
@@ -58,6 +60,11 @@ class Processor:
     def merge(a, b):
         """Merge two partial keyed-state values (override if stateful)."""
         raise NotImplementedError
+
+    @staticmethod
+    def record_key(state_key):
+        """The record key that routes a restored keyed-state entry."""
+        return state_key
 
     def save_inst(self):
         return None
@@ -128,11 +135,15 @@ class PaneIndex:
 
     ``starts`` keeps the live pane starts sorted, so the window stages
     find complete and dead panes by bisection instead of scanning every
-    entry. :meth:`entries` is the flat
-    ``{(key, pane_start): acc}`` form that snapshots store.
+    entry. :meth:`add` folds a value into a key's pane with
+    ``combine(cur, new)``, which must return a new value and never
+    mutate one: a snapshot's IMap holds the saved values themselves.
+    :meth:`entries` is the flat ``{(key, pane_start): acc}`` form that
+    snapshots store.
     """
 
-    def __init__(self, entries: dict | None = None):
+    def __init__(self, combine: Callable[[Any, Any], Any], entries: dict | None = None):
+        self.combine = combine
         self.panes: dict[int, dict[Any, Any]] = {}
         self.starts: list[int] = []
         for (key, pane), acc in (entries or {}).items():
@@ -144,7 +155,7 @@ class PaneIndex:
             per_key = self.panes[pane] = {}
             insort(self.starts, pane)
         cur = per_key.get(key)
-        per_key[key] = acc if cur is None else cur + acc
+        per_key[key] = acc if cur is None else self.combine(cur, acc)
 
     def first_from(self, lo: int) -> int | None:
         """The earliest live pane starting at or after ``lo``."""
@@ -163,7 +174,29 @@ class PaneIndex:
         return {(key, p): acc for p, per_key in self.panes.items() for key, acc in per_key.items()}
 
 
-class PaneAccumulator(Processor):
+class PaneStage(Processor):
+    """A windowed stage whose keyed state is one :class:`PaneIndex`,
+    combined with the stage's ``merge`` (partial counts add up unless a
+    subclass says otherwise). Its state keys are ``(key, pane_start)``,
+    routed on restore by the record key."""
+
+    merge = staticmethod(add)
+
+    def __init__(self):
+        self.panes = PaneIndex(self.merge)
+
+    def save_keyed(self) -> dict:
+        return self.panes.entries()
+
+    def restore_keyed(self, entries: dict) -> None:
+        self.panes = PaneIndex(self.merge, entries)
+
+    @staticmethod
+    def record_key(state_key):
+        return state_key[0]
+
+
+class PaneAccumulator(PaneStage):
     """Stage 1: accumulate events into slide-aligned panes per key.
 
     Flushes a pane downstream once the watermark passes its end — this
@@ -173,9 +206,9 @@ class PaneAccumulator(Processor):
     """
 
     def __init__(self, key_fn: Callable[[Any], Any], slide_ms: int):
+        super().__init__()
         self.key_fn = key_fn
         self.slide_ms = slide_ms
-        self.panes = PaneIndex()
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
         pane = (ev.ts_ms // self.slide_ms) * self.slide_ms
@@ -189,18 +222,8 @@ class PaneAccumulator(Processor):
                 out.append(Event(PaneRecord(key, pane, per_key[key]), pane + self.slide_ms - 1))
         return out
 
-    def save_keyed(self) -> dict:
-        return self.panes.entries()
 
-    def restore_keyed(self, entries: dict) -> None:
-        self.panes = PaneIndex(entries)
-
-    @staticmethod
-    def merge(a, b):
-        return a + b
-
-
-class WindowCombiner(Processor):
+class WindowCombiner(PaneStage):
     """Stage 2: combine pane partials into sliding-window results.
 
     Keyed by record key (distributed-partitioned input edge). When the
@@ -222,10 +245,10 @@ class WindowCombiner(Processor):
         on_trigger: Callable[[int, float], None] | None = None,
     ):
         assert size_ms % slide_ms == 0
+        super().__init__()
         self.size_ms = size_ms
         self.slide_ms = slide_ms
         self.on_trigger = on_trigger
-        self.panes = PaneIndex()
         #: max window end already emitted — guards against re-emission
         #: across watermark advances and across snapshot restore
         self.emitted_upto = -1
@@ -309,16 +332,9 @@ class WindowCombiner(Processor):
                 self._subtract(dead)
         return out
 
-    def save_keyed(self) -> dict:
-        return self.panes.entries()
-
     def restore_keyed(self, entries: dict) -> None:
-        self.panes = PaneIndex(entries)
+        super().restore_keyed(entries)
         self._end = None
-
-    @staticmethod
-    def merge(a, b):
-        return a + b
 
     def save_inst(self):
         return self.emitted_upto
@@ -329,24 +345,24 @@ class WindowCombiner(Processor):
         self._end = None
 
 
-class WindowTop(Processor):
+class WindowTop(PaneStage):
     """Stage 3 (Q5's "hot items"): per window, keep the keys with the
     maximum value. Global single instance; input is complete for a
-    window once the watermark passes its end."""
+    window once the watermark passes its end. Its panes are windows:
+    ``window_start -> {key: value}``."""
 
     def __init__(self, size_ms: int):
+        super().__init__()
         self.size_ms = size_ms
-        self.by_window: dict[int, dict[Any, int]] = {}
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
         r: WindowResult = ev.payload
-        self.by_window.setdefault(r.window_start, {})[r.key] = r.value
+        self.panes.add(r.key, r.window_start, r.value)
         return []
 
     def on_watermark(self, wm: int) -> list[Event]:
         out = []
-        for start in sorted(s for s in self.by_window if s + self.size_ms <= wm):
-            per_key = self.by_window.pop(start)
+        for start, per_key in self.panes.pop_through(wm - self.size_ms):
             best = max(per_key.values())
             for key in sorted((k for k, v in per_key.items() if v == best), key=repr):
                 out.append(
@@ -357,17 +373,10 @@ class WindowTop(Processor):
                 )
         return out
 
-    def save_keyed(self) -> dict:
-        return {s: dict(m) for s, m in self.by_window.items()}
-
-    def restore_keyed(self, entries: dict) -> None:
-        self.by_window = {s: dict(m) for s, m in entries.items()}
-
     @staticmethod
     def merge(a, b):
-        out = dict(a)
-        out.update(b)
-        return out
+        """A window result replayed after a restore replaces the old one."""
+        return b
 
 
 # --------------------------------------------------------------------------
@@ -375,12 +384,13 @@ class WindowTop(Processor):
 # --------------------------------------------------------------------------
 
 
-class TumblingJoin(Processor):
+class TumblingJoin(PaneStage):
     """Q8-style windowed stream-stream join on a shared key.
 
     Ordinal 0 carries "left" events (persons), ordinal 1 "right"
-    (auctions). Keyed state per ``(key, window_start)`` remembers which
-    sides were seen; a match is emitted once the window closes.
+    (auctions). Keyed state per ``(key, window_start)`` is
+    ``[left_payload | None, right_seen]``; a match is emitted once the
+    watermark closes its window, windows in order, keys by ``repr``.
     """
 
     def __init__(
@@ -392,49 +402,42 @@ class TumblingJoin(Processor):
         *,
         on_trigger: Callable[[int, float], None] | None = None,
     ):
+        super().__init__()
         self.size_ms = size_ms
         self.left_key = left_key
         self.right_key = right_key
         self.emit = emit
         self.on_trigger = on_trigger
-        # (key, win) -> [left_payload | None, right_seen bool]
-        self.state: dict[tuple[Any, int], list] = {}
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
-        key = self.left_key(ev.payload) if ordinal == 0 else self.right_key(ev.payload)
         win = (ev.ts_ms // self.size_ms) * self.size_ms
-        st = self.state.setdefault((key, win), [None, False])
         if ordinal == 0:
-            st[0] = ev.payload
+            self.panes.add(self.left_key(ev.payload), win, [ev.payload, False])
         else:
-            st[1] = True
+            self.panes.add(self.right_key(ev.payload), win, [None, True])
         return []
 
     def on_watermark(self, wm: int) -> list[Event]:
         out = []
-        ready = sorted(
-            (k for k in self.state if k[1] + self.size_ms <= wm),
-            key=lambda k: (k[1], repr(k[0])),
-        )
-        triggered: set[int] = set()
-        for key, win in ready:
-            left, right = self.state.pop((key, win))
-            if left is not None and right:
-                if self.on_trigger is not None and win not in triggered and wm < WM_MAX:
-                    self.on_trigger(win + self.size_ms, self.now_ms)
-                    triggered.add(win)
-                out.append(Event(self.emit(left, win), win + self.size_ms - 1))
+        size = self.size_ms
+        for win, per_key in self.panes.pop_through(wm - size):
+            fired = False
+            for key in sorted(per_key, key=repr):
+                left, right = per_key[key]
+                if left is None or not right:
+                    continue
+                # one trigger per window with a match; none on the
+                # end-of-stream flush
+                if not fired and self.on_trigger is not None and wm < WM_MAX:
+                    self.on_trigger(win + size, self.now_ms)
+                    fired = True
+                out.append(Event(self.emit(left, win), win + size - 1))
         return out
-
-    def save_keyed(self) -> dict:
-        return {k: list(v) for k, v in self.state.items()}
-
-    def restore_keyed(self, entries: dict) -> None:
-        self.state = {k: list(v) for k, v in entries.items()}
 
     @staticmethod
     def merge(a, b):
-        return [a[0] if a[0] is not None else b[0], a[1] or b[1]]
+        """The latest left wins; the right side is seen if either saw it."""
+        return [b[0] if b[0] is not None else a[0], a[1] or b[1]]
 
 
 class HashJoin(Processor):

@@ -1,4 +1,6 @@
 """Pipeline→DAG compilation coverage for every NEXMark pipeline."""
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.dag import DAG
@@ -100,9 +102,12 @@ def test_sink_inherits_upstream_parallelism():
 
 def test_stateful_vertices_carry_merge_fns():
     dag = qj.q5_pipeline(size_ms=100, slide_ms=50).compile()
-    assert dag.vertices["q5.accumulate"].merge(2, 3) == 5
-    assert dag.vertices["q5.combine"].merge(2, 3) == 5
-    assert dag.vertices["q5.accumulate"].state_record_key(("k", 100)) == "k"
+    ctx = SimpleNamespace(record_trigger=lambda end, now: None)
+    acc = dag.vertices["q5.accumulate"].make(ctx, 0)
+    comb = dag.vertices["q5.combine"].make(ctx, 0)
+    assert acc.merge(2, 3) == 5
+    assert comb.merge(2, 3) == 5
+    assert acc.record_key(("k", 100)) == "k"
 
 
 def test_all_pipelines_validate():
