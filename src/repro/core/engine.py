@@ -41,7 +41,7 @@ from ..imdg.imap import IMap
 from ..imdg.partition import partition_id
 from .dag import DAG
 from .gc_model import GcConfig, PauseTracker, pause_schedule
-from .processors import ExternalStore, SinkProcessor
+from .processors import ExternalStore
 from .queues import ACK_INTERVAL_MS, NetworkChannel, SPSCQueue
 from .source import SourceTasklet
 from .tasklet import InboundChannel, OutboundEdge, Tasklet
@@ -269,7 +269,7 @@ class JetEngine:
                     ooo_lag_ms=sv.ooo_lag_ms,
                     wm_frame_ms=sv.wm_frame_ms,
                     cost_per_item_ms=cfg.cost_per_item_ms / 2,
-                    on_snapshot=self._mk_source_snapshot_cb(sname, k),
+                    on_snapshot=self._mk_snapshot_cb(sname, k),
                 )
                 self.source_tasklets[(sname, k)] = st
                 ni, ti = self._loc(sname, k)
@@ -317,30 +317,20 @@ class JetEngine:
     def _meta_map(self) -> IMap:
         return self._imap("__snap.meta")
 
-    # snapshot callbacks hold a weak proxy: tasklets must not keep the
-    # engine alive
-
-    def _mk_source_snapshot_cb(self, sname: str, k: int):
-        eng = weakref.proxy(self)
-
-        def cb(sid: int, src: SourceTasklet) -> None:
-            eng._inst_map(sid).put((sname, k), src.save_inst())
-            eng._ack(sid, sname, k)
-
-        return cb
-
     def _mk_snapshot_cb(self, vname: str, k: int):
+        """``cb(sid, owner)`` saves a source tasklet's or processor's
+        keyed entries (a map is made only for some) and instance state,
+        then acks. It holds a weak proxy: tasklets must not keep the
+        engine alive."""
         eng = weakref.proxy(self)
 
-        def cb(sid: int, tasklet: Tasklet) -> None:
-            proc = tasklet.processor
-            if isinstance(proc, SinkProcessor):
-                eng._inst_map(sid).put((vname, k), proc.prepare_epoch(sid))
-            else:
+        def cb(sid: int, owner) -> None:
+            keyed = owner.save_keyed()
+            if keyed:
                 snap = eng._imap(eng._snap_name(sid, vname))
-                for key, val in proc.save_keyed().items():
+                for key, val in keyed.items():
                     snap.put((k, key), val)
-                eng._inst_map(sid).put((vname, k), proc.save_inst())
+            eng._inst_map(sid).put((vname, k), owner.save_inst())
             eng._ack(sid, vname, k)
 
         return cb
@@ -404,8 +394,7 @@ class JetEngine:
                 # consumers drain its channels to EOS before their own
                 # alignment completes, so acking its final offset now is
                 # exact — nothing of it is in flight past the barrier
-                self._inst_map(sid).put((sname, k), st.save_inst())
-                self._ack(sid, sname, k)
+                st.on_snapshot(sid, st)
             else:
                 st.pending_snapshot_sid = sid
 
@@ -445,25 +434,18 @@ class JetEngine:
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)
         # instance state: source offsets, combiner emit cursors, join build
-        # flags, sink epochs
-        im = self._inst_map(sid)
-        for (vname, k), st in im.entry_set():
-            if (vname, k) in self.source_tasklets:
-                self.source_tasklets[(vname, k)].restore_inst(st)
-            elif (vname, k) in self.procs:
-                proc = self.procs[(vname, k)]
-                if isinstance(proc, SinkProcessor):
-                    proc.restore_inst(None)  # prepared epoch is committed below
-                else:
-                    proc.restore_inst(st)
+        # flags; sinks start an empty epoch and commit the sealed one below
+        for key, st in self._inst_map(sid).entry_set():
+            owner = self.source_tasklets.get(key) or self.procs[key]
+            owner.restore_inst(st)
         self._commit_sinks(sid)  # idempotent re-commit after recovery
         self._last_snap_ms = self.now
 
     # -- main loop ------------------------------------------------------
 
     def _fold_sink_latencies(self) -> None:
-        for proc in self.procs.values():
-            if isinstance(proc, SinkProcessor):
+        for (vname, _k), proc in self.procs.items():
+            if self.dag.vertices[vname].is_sink:
                 self.metrics.event_latencies.extend(proc.latencies)
 
     def _done(self) -> bool:

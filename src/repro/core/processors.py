@@ -10,9 +10,10 @@ for the paper's latency clock (§7.1).
 State contract for fault tolerance (§4.4): keyed state is exposed via
 ``save_keyed``/``restore_keyed``; on restore the engine merges partial
 values from different instances with the processor's ``merge`` and
-routes each entry by its ``record_key``. Instance-local state (source
-offsets, sink epochs) goes via ``save_inst``/``restore_inst``. Window
-stages keep keyed state in a :class:`PaneIndex`.
+routes each entry by its ``record_key``. Instance-local state goes via
+``save_inst``/``restore_inst``; a sink's ``save_inst`` seals its epoch,
+the 2PC prepare (§4.5). Window stages keep keyed state in a
+:class:`PaneIndex`.
 """
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -502,10 +503,11 @@ class SinkProcessor(Processor):
 
     ``transactional=False``: every event goes straight to ``external``
     (at-least-once delivery under replay).
-    ``transactional=True``: events buffer in the current epoch; the
-    engine calls :meth:`prepare_epoch` at each barrier and commits the
-    prepared buffer only once the snapshot completes (two-phase commit,
-    §4.5), with ``(snapshot, instance)`` dedup on the external side.
+    ``transactional=True``: events buffer in the current epoch; at each
+    barrier :meth:`save_inst` seals the epoch into the snapshot, and the
+    engine commits it only once the snapshot completes (two-phase
+    commit, §4.5), with ``(snapshot, instance)`` dedup on the external
+    side.
     """
 
     def __init__(self, inst_idx: int, external: "ExternalStore", *, transactional: bool):
@@ -524,11 +526,6 @@ class SinkProcessor(Processor):
             self.external.emit(ev.payload)
         return []
 
-    def prepare_epoch(self, sid: int) -> list:
-        """Phase 1 of 2PC: seal the epoch buffer for snapshot ``sid``."""
-        out, self.epoch = self.epoch, []
-        return out
-
     def complete(self) -> list[Event]:
         # normal job completion commits the trailing epoch directly
         if self.transactional and self.epoch:
@@ -537,10 +534,14 @@ class SinkProcessor(Processor):
         return []
 
     def save_inst(self):
-        return list(self.epoch)
+        """Phase 1 of 2PC: seal the epoch buffer into the snapshot."""
+        out, self.epoch = self.epoch, []
+        return out
 
     def restore_inst(self, state) -> None:
-        self.epoch = list(state or [])
+        # the engine commits the epoch sealed in the snapshot; a
+        # restored sink starts an empty one
+        self.epoch = []
 
 
 class ExternalStore:

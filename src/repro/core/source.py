@@ -72,6 +72,9 @@ class SourceTasklet:
     def _flush_control(self, now_ms: float) -> bool:
         return self._ctl.flush(now_ms)
 
+    def save_keyed(self) -> dict:
+        return {}
+
     def save_inst(self):
         return self.offset
 

@@ -164,7 +164,7 @@ class Tasklet:
         self.exactly_once = exactly_once
         self.inbox_limit = inbox_limit
         self.cost_per_item_ms = cost_per_item_ms
-        self.on_snapshot = on_snapshot  # fn(sid, tasklet) -> None
+        self.on_snapshot = on_snapshot  # fn(sid, processor) -> None
         self.metrics = metrics
         self.done = False
         self.wm = -1
@@ -231,7 +231,7 @@ class Tasklet:
 
     def _take_snapshot(self, sid: int) -> None:
         if self.on_snapshot is not None:
-            self.on_snapshot(sid, self)
+            self.on_snapshot(sid, self.processor)
         for c in self.inputs:
             c.barrier_seen = None
         self.out.push_control(Barrier(sid))
