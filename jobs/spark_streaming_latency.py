@@ -19,6 +19,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.harness.report import table
 from repro.nexmark import generator as gen
+from repro.nexmark import queries_batch as qb
 from repro.nexmark import queries_stream as qs
 from repro.nexmark.schema import BID_SCHEMA
 from repro.sinks.replayable import with_flush_sentinel, write_chunks
@@ -56,7 +57,7 @@ def measure(spark, make_stream, pdf: pd.DataFrame, *, n_chunks: int = 12) -> dic
 def run(spark):
     data = gen.generate(rate=60_000, duration_s=2.0, n_keys=10_000, seed=3)
     bids = with_flush_sentinel(data.bids, advance_ms=120_000)
-    q1 = measure(spark, qs.q1_stream, bids)
+    q1 = measure(spark, qb.q1, bids)
     q5 = measure(
         spark,
         lambda s: qs.q5_counts_stream(s, size_ms=10_000, slide_ms=1_000, watermark_ms=0),

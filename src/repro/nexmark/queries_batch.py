@@ -106,9 +106,14 @@ def q5(bids: DataFrame, *, size_ms: int = 10_000, slide_ms: int = 2_000) -> Data
         .groupBy("window_start", "auction")
         .agg(F.count(F.lit(1)).alias("n_bids"))
     )
-    max_per_win = counts.groupBy("window_start").agg(F.max("n_bids").alias("max_bids"))
+    return hot_items_of(counts)
+
+
+def hot_items_of(counts: DataFrame) -> DataFrame:
+    """Finish Q5 on a counts frame: the max-count auctions per window."""
+    m = counts.groupBy("window_start").agg(F.max("n_bids").alias("max_bids"))
     return (
-        counts.join(max_per_win, "window_start")
+        counts.join(m, "window_start")
         .filter(F.col("n_bids") == F.col("max_bids"))
         .select("window_start", "auction", "n_bids")
     )

@@ -9,13 +9,13 @@ idempotent/transactional sinks in :mod:`repro.sinks.exactly_once`.
 All queries take *streaming* DataFrames (``spark.readStream`` over a
 chunked parquet directory, see :mod:`repro.sinks.replayable`) and
 return streaming DataFrames; helpers at the bottom run them to
-completion deterministically for tests.
+completion deterministically for tests. Only the queries that need
+streaming constructs (watermarks, windowed state) live here: the
+stateless Q1 and Q2 and the side-input join Q13 of
+:mod:`repro.nexmark.queries_batch` take streaming frames unchanged.
 """
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-
-from . import schema as S
-from .queries_batch import Q2_MOD
 
 def read_stream(
     spark: SparkSession, input_dir: str, schema, *, max_files_per_trigger: int = 1
@@ -29,21 +29,6 @@ def read_stream(
     )
 
 
-def q1_stream(bids: DataFrame) -> DataFrame:
-    """Q1 streaming: stateless currency conversion."""
-    return bids.select(
-        "auction",
-        "bidder",
-        F.round(F.col("price") * F.lit(S.USD_TO_EUR), 2).alias("price_eur"),
-        "ts_ms",
-    )
-
-
-def q2_stream(bids: DataFrame) -> DataFrame:
-    """Q2 streaming: stateless selection."""
-    return bids.filter(F.col("auction") % Q2_MOD == 0).select("auction", "price")
-
-
 def q5_counts_stream(
     bids: DataFrame, *, size_ms: int, slide_ms: int, watermark_ms: int
 ) -> DataFrame:
@@ -54,7 +39,7 @@ def q5_counts_stream(
 
     The global per-window max (Jet's stage 3) is not expressible as a
     second streaming aggregation in append mode; consumers apply it per
-    emitted window (see :func:`hot_items_of`).
+    emitted window (see :func:`repro.nexmark.queries_batch.hot_items_of`).
     """
     with_ts = bids.withColumn("ts", F.timestamp_millis(F.col("ts_ms")))
     return (
@@ -69,16 +54,6 @@ def q5_counts_stream(
             "auction",
             "n_bids",
         )
-    )
-
-
-def hot_items_of(counts: DataFrame) -> DataFrame:
-    """Finish Q5 on a (batch) counts frame: max-count auctions per window."""
-    m = counts.groupBy("window_start").agg(F.max("n_bids").alias("max_bids"))
-    return (
-        counts.join(m, "window_start")
-        .filter(F.col("n_bids") == F.col("max_bids"))
-        .select("window_start", "auction", "n_bids")
     )
 
 
@@ -105,13 +80,6 @@ def q8_stream(
         "id", "name", F.unix_millis(F.col("w.start")).alias("window_start")
     )
     return joined.dropDuplicates(["id", "name", "window_start"])
-
-
-def q13_stream(bids: DataFrame, side: DataFrame, *, side_size: int) -> DataFrame:
-    """Q13 streaming: enrich the bid stream from a bounded (batch) side
-    input — Listing 2's hybrid batch+stream join, stream-side probe."""
-    keyed = bids.withColumn("key", F.col("auction") % side_size)
-    return keyed.join(side, "key").select("auction", "bidder", "price", "ts_ms", "value")
 
 
 # -- deterministic execution helpers ------------------------------------

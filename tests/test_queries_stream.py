@@ -13,7 +13,7 @@ from pyspark.sql import functions as F
 
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_stream as qs
-from repro.nexmark.queries_batch import q5_sql, q8_sql
+from repro.nexmark.queries_batch import hot_items_of, q1, q2, q5_sql, q8_sql, q13
 from repro.nexmark.schema import AUCTION_SCHEMA, BID_SCHEMA, PERSON_SCHEMA
 from repro.oracle import assert_equivalent
 from repro.sinks.exactly_once import IdempotentParquetSink
@@ -48,7 +48,7 @@ def _stream_dir(tmp_path, pdf, *, sentinel_ms=None):
 
 def test_q1_stream_matches_batch(spark, data, tmp_path):
     d = _stream_dir(tmp_path, data.bids)
-    out = qs.run_to_memory(spark, qs.q1_stream(qs.read_stream(spark, d, BID_SCHEMA)), name())
+    out = qs.run_to_memory(spark, q1(qs.read_stream(spark, d, BID_SCHEMA)), name())
     assert_equivalent(
         out,
         "SELECT auction, bidder, ROUND(price*0.908, 2) AS price_eur, ts_ms FROM bids",
@@ -58,7 +58,7 @@ def test_q1_stream_matches_batch(spark, data, tmp_path):
 
 def test_q2_stream_matches_batch(spark, data, tmp_path):
     d = _stream_dir(tmp_path, data.bids)
-    out = qs.run_to_memory(spark, qs.q2_stream(qs.read_stream(spark, d, BID_SCHEMA)), name())
+    out = qs.run_to_memory(spark, q2(qs.read_stream(spark, d, BID_SCHEMA)), name())
     assert_equivalent(
         out, "SELECT auction, price FROM bids WHERE auction % 123 = 0", bids=data.bids
     )
@@ -103,7 +103,7 @@ def test_q5_stream_hot_items_match_batch(spark, data, tmp_path):
     # materialize: Spark 4's analyzer rejects self-joins over a
     # MemorySink-backed view ("conflicting references")
     out = spark.createDataFrame(out.toPandas())
-    hot = qs.hot_items_of(out)
+    hot = hot_items_of(out)
     got = {tuple(r) for r in hot.collect()}
     assert got == duck(q5_sql(size_ms=size_ms, slide_ms=slide_ms), bids=data.bids)
 
@@ -210,7 +210,7 @@ def test_q13_stream_side_join_matches_batch(spark, data, tmp_path):
     side = spark.createDataFrame(gen.side_input(side_size))
     out = qs.run_to_memory(
         spark,
-        qs.q13_stream(qs.read_stream(spark, d, BID_SCHEMA), side, side_size=side_size),
+        q13(qs.read_stream(spark, d, BID_SCHEMA), side, side_size=side_size),
         name(),
     )
     got = {
@@ -238,7 +238,7 @@ def test_exactly_once_restart_replay_no_duplicates(spark, data, tmp_path):
 
     def run():
         qs.run_foreach_batch(
-            qs.q1_stream(qs.read_stream(spark, d, BID_SCHEMA)), sink, checkpoint_dir=ckpt
+            q1(qs.read_stream(spark, d, BID_SCHEMA)), sink, checkpoint_dir=ckpt
         )
 
     run()  # first incarnation processes the first half, then "crashes"
