@@ -40,12 +40,6 @@ class IMap:
         for k, v in entries.items():
             self.put(k, v)
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entry_set())
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
     # -- scans ----------------------------------------------------------
 
     def entry_set(self) -> Iterator[tuple[object, object]]:
