@@ -436,8 +436,7 @@ class JetEngine:
         # instance state: source offsets, combiner emit cursors, join build
         # flags; sinks start an empty epoch and commit the sealed one below
         for key, st in self._inst_map(sid).entry_set():
-            owner = self.source_tasklets.get(key) or self.procs[key]
-            owner.restore_inst(st)
+            (self.source_tasklets.get(key) or self.procs[key]).restore_inst(st)
         self._commit_sinks(sid)  # idempotent re-commit after recovery
         self._last_snap_ms = self.now
 
