@@ -8,13 +8,19 @@ Within a slice each worker thread executes its tasklets round-robin
 budget. Events are real: processors compute real query results, which
 the tests compare against Spark and DuckDB.
 
-Idle work is skipped, and simulated timing is unchanged by it. A tasklet
-whose outbox is empty and none of whose inputs is ready returns at once
-with the cost of the idle run it replaces. When no worker made progress
-in a step, the clock jumps over the following steps up to the next
-wake-up — a source arrival, a network delivery or credit grant, a
-snapshot trigger, a failure injection, a GC pause start or end — still
-by repeated ``+= slice_ms``, charging each skipped step as an idle pass.
+Idle work is skipped, and simulated timing is unchanged by it. Every
+tasklet and worker has a wake cell (:class:`~.queues.WakeCell`) that
+producers keep current: a local offer marks the consumer ready, a
+network offer lowers its wake-up time to the delivery time, the
+coordinator wakes the sources it asks to snapshot, and a tasklet
+recomputes its own cell after each run. A worker charges a tasklet whose
+cell shows no work at the run's time as an idle run without calling it,
+and a worker whose cell shows none before its slice ends as one idle
+pass. When no worker made progress in a step, the clock jumps over the
+following steps up to the next wake-up — a source arrival, a network
+delivery or credit grant, a snapshot trigger, a failure injection, a GC
+pause start or end — still by repeated ``+= slice_ms``, charging each
+skipped step as an idle pass.
 
 Fault tolerance follows §4.4: a coordinator periodically instructs
 source tasklets to snapshot; aligned barriers flow through the DAG;
@@ -42,7 +48,7 @@ from ..imdg.partition import partition_id
 from .dag import DAG
 from .gc_model import GcConfig, PauseTracker, pause_schedule
 from .processors import ExternalStore
-from .queues import ACK_INTERVAL_MS, NetworkChannel, SPSCQueue
+from .queues import ACK_INTERVAL_MS, NetworkChannel, SPSCQueue, WakeCell
 from .source import SourceTasklet
 from .tasklet import InboundChannel, OutboundEdge, Tasklet
 
@@ -97,27 +103,57 @@ class _JobCtx:
 
 
 class Worker:
-    """One cooperative thread: a round-robin loop over its tasklets."""
+    """One cooperative thread: a round-robin loop over its tasklets.
+
+    Its wake cell holds the minimum of its tasklets' cells: it is
+    recomputed after each slice that runs, and lowered by every push to
+    one of its tasklets in between.
+    """
 
     def __init__(self, slice_ms: float):
         self.tasklets: list = []
         self.slice_ms = slice_ms
         self.progressed = False  # did the last slice's runs make progress
+        self.cell = WakeCell()
+
+    def add(self, tasklet) -> None:
+        self.tasklets.append(tasklet)
+        tasklet.cell.up = self.cell
 
     def run_slice(self, now_ms: float) -> None:
-        budget = self.slice_ms
         self.progressed = False
+        cell = self.cell
+        end = now_ms + self.slice_ms
+        if end < cell.due and end - cell.ack < ACK_INTERVAL_MS:
+            # no tasklet can have work at any run time of this slice
+            self.skip_idle_slices(1)
+            return
+        budget = self.slice_ms
         while budget > 0:
             progressed = False
             for t in self.tasklets:
-                p, cost = t.run(now_ms + (self.slice_ms - budget))
-                budget -= cost
-                progressed = progressed or p
+                at = now_ms + (self.slice_ms - budget)
+                c = t.cell
+                if at < c.due and at - c.ack < ACK_INTERVAL_MS:
+                    budget -= t.skip_idle_runs(1)
+                else:
+                    p, cost = t.run(at)
+                    budget -= cost
+                    progressed = progressed or p
                 if budget <= 0:
                     break
             if not progressed:
                 break
             self.progressed = True
+        due = ack = inf
+        for t in self.tasklets:
+            c = t.cell
+            if c.due < due:
+                due = c.due
+            if c.ack < ack:
+                ack = c.ack
+        cell.due = due
+        cell.ack = ack
 
     def skip_idle_slices(self, n: int) -> None:
         """Account for ``n`` skipped slices in which every run was idle:
@@ -273,7 +309,7 @@ class JetEngine:
                 )
                 self.source_tasklets[(sname, k)] = st
                 ni, ti = self._loc(sname, k)
-                self.workers[ni * self.T + ti].tasklets.append(st)
+                self.workers[ni * self.T + ti].add(st)
 
         # processor tasklets
         for vname, v in self.dag.vertices.items():
@@ -295,7 +331,7 @@ class JetEngine:
                 )
                 self.tasklets[(vname, k)] = t
                 ni, ti = self._loc(vname, k)
-                self.workers[ni * self.T + ti].tasklets.append(t)
+                self.workers[ni * self.T + ti].add(t)
 
         # GC pause schedules, one per node
         if cfg.gc is not None:
@@ -350,6 +386,7 @@ class JetEngine:
             self.inflight_sid = None
             self.metrics.snapshots_completed += 1
             self._commit_sinks(sid)
+            self._destroy_snapshots_before(sid)
 
     def _commit_sinks(self, sid: int) -> None:
         """Phase 2 of 2PC: release prepared sink epochs (§4.5)."""
@@ -361,6 +398,14 @@ class JetEngine:
                 items = im.get((vname, k))
                 if items:
                     self.external.commit((sid, vname, k), items)
+
+    def _destroy_snapshots_before(self, sid: int) -> None:
+        """Drop the maps of every older snapshot, completed or cancelled:
+        recovery reads only the last completed one."""
+        for name in list(self._imaps):
+            parts = name.split(".", 2)  # __snap.<sid>.<vertex> or __snap.meta
+            if len(parts) == 3 and int(parts[1]) < sid:
+                self._imaps.pop(name).destroy()
 
     def _snapshot_armed(self) -> bool:
         """True when only the interval stands between the coordinator
@@ -396,7 +441,7 @@ class JetEngine:
                 # exact — nothing of it is in flight past the barrier
                 st.on_snapshot(sid, st)
             else:
-                st.pending_snapshot_sid = sid
+                st.request_snapshot(sid)
 
     # -- failure & recovery (§4.4, Fig 6) -------------------------------
 
@@ -471,25 +516,20 @@ class JetEngine:
         """After a step in which no worker made progress, jump over the
         steps that provably do nothing.
 
-        Every tasklet on a running worker reports when it could next
-        have work (:meth:`Tasklet.wake_up`); if one has work now, no
-        step is skipped. Otherwise each following step is skipped while
-        its whole slice ends before the earliest source arrival and
-        network delivery, no credit grant falls due in it, and the
-        coordinator would neither inject a failure, start a snapshot
-        nor see a GC pause begin or end. The clock still advances by
-        repeated ``+= slice_ms``, so its values match a run that
-        executes every step, and each skipped step is charged as the
-        idle pass it replaces.
+        The running workers' wake cells tell when a tasklet could next
+        have work; if one has work now, no step is skipped. Otherwise
+        each following step is skipped while its whole slice ends before
+        the earliest source arrival and network delivery, no credit
+        grant falls due in it, and the coordinator would neither inject
+        a failure, start a snapshot nor see a GC pause begin or end. The
+        clock still advances by repeated ``+= slice_ms``, so its values
+        match a run that executes every step, and each skipped step is
+        charged as the idle pass it replaces.
         """
-        due = ack_from = inf
-        for w in running:
-            for t in w.tasklets:
-                wake = t.wake_up()
-                if wake is None:
-                    return
-                due = min(due, wake[0])
-                ack_from = min(ack_from, wake[1])
+        due = min((w.cell.due for w in running), default=inf)
+        if due == -inf:
+            return
+        ack_from = min((w.cell.ack for w in running), default=inf)
         cfg = self.cfg
         armed = self._snapshot_armed()
         skipped = 0

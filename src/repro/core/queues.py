@@ -12,12 +12,16 @@ experiments: ``offer`` fails when full (local backpressure, §3.3) and
 credit-based flow control, modelling the distributed-edge receive
 window of §3.3 (ack every 100 ms, ~300 ms worth of credits).
 
-Both kinds answer two consumer-side questions without changing state,
-so the scheduler can pass over a channel that has nothing for it:
-``ready(now_ms)`` — would a poll at ``now_ms`` return an item or grant
-credits — and ``wake_up()`` — ``None`` when an item is waiting now,
-else ``(due_ms, ack_from_ms)``: the delivery time of the oldest
-in-flight item and the time of the last credit grant.
+Every queue knows the :class:`WakeCell` of its consumer and keeps it
+current from the push side: an ``offer`` to a local queue marks the
+consumer ready now, one to a network channel lowers the consumer's
+wake-up time to the item's delivery time. Two consumer-side questions
+are answered without changing state: ``ready(now_ms)`` — would a poll
+at ``now_ms`` return an item or grant credits — and ``wake_up()`` —
+``(due_ms, ack_from_ms)``: ``-inf`` when an item is waiting now, else
+the delivery time of the oldest in-flight item, and the time of the
+last credit grant — from which the consumer recomputes its cell after
+a run.
 """
 from collections import deque
 from math import inf
@@ -31,20 +35,57 @@ ACK_INTERVAL_MS = 100.0
 RECEIVE_WINDOW_MS = 300.0
 
 
+class WakeCell:
+    """When a consumer could next have work, kept current by producers.
+
+    ``due`` is the earliest simulated time at which a poll could return
+    an item (``-inf``: it has work now); ``ack`` is the time of the
+    oldest credit grant among its network inputs (a grant falls due
+    ``ACK_INTERVAL_MS`` later). A new cell reads "work now"; once the
+    consumer has run, a run at ``at`` is idle exactly when ``at < due
+    and at - ack < ACK_INTERVAL_MS``. Cells point only
+    upward — a tasklet's to its worker's, which holds the minimum of its
+    tasklets' cells — so :meth:`lower` keeps every level current.
+    """
+
+    __slots__ = ("due", "ack", "up")
+
+    def __init__(self, due: float = -inf, ack: float = inf, up: "WakeCell | None" = None):
+        self.due = due
+        self.ack = ack
+        self.up = up
+
+    def lower(self, due: float) -> None:
+        """Make work due no later than ``due``, here and above."""
+        cell = self
+        while cell is not None and due < cell.due:
+            cell.due = due
+            cell = cell.up
+
+
+#: The cell of a queue whose consumer does not read it: none yet, the
+#: queue is done, or it is blocked on barrier alignment. It always
+#: reads "work now", so offers leave it alone.
+UNREAD = WakeCell()
+
+
 class SPSCQueue:
     """Bounded FIFO with non-blocking offer/poll."""
 
-    __slots__ = ("capacity", "_q")
+    __slots__ = ("capacity", "_q", "cell")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
         self._q: deque = deque()
+        self.cell = UNREAD  # the consumer's while it reads the queue
 
     def offer(self, item) -> bool:
         """Enqueue unless full; returns False (producer backs off) when full."""
         if len(self._q) >= self.capacity:
             return False
         self._q.append(item)
+        if self.cell.due != -inf:
+            self.cell.lower(-inf)
         return True
 
     def poll(self):
@@ -54,8 +95,8 @@ class SPSCQueue:
     def ready(self, now_ms: float) -> bool:
         return bool(self._q)
 
-    def wake_up(self) -> tuple[float, float] | None:
-        return None if self._q else (inf, inf)
+    def wake_up(self) -> tuple[float, float]:
+        return -inf if self._q else inf, inf
 
     def __len__(self) -> int:
         return len(self._q)
@@ -91,14 +132,18 @@ class NetworkChannel:
         self._consumed_since_ack = 0
         self.sent = 0
         self.received = 0
+        self.cell = UNREAD  # the consumer's while it reads the queue
 
     def offer(self, item, now_ms: float) -> bool:
         """Send one item if a credit is available."""
         if self.credits <= 0 or len(self._in_flight) + len(self._ready) >= self.capacity:
             return False
         self.credits -= 1
-        self._in_flight.append((now_ms + self.latency_ms, item))
+        due = now_ms + self.latency_ms
+        self._in_flight.append((due, item))
         self.sent += 1
+        if due < self.cell.due:
+            self.cell.lower(due)
         return True
 
     def _promote(self, now_ms: float) -> None:
@@ -138,10 +183,11 @@ class NetworkChannel:
             or now_ms - self._last_ack_ms >= self.ack_interval_ms
         )
 
-    def wake_up(self) -> tuple[float, float] | None:
+    def wake_up(self) -> tuple[float, float]:
         if self._ready:
-            return None
-        due = self._in_flight[0][0] if self._in_flight else inf
+            due = -inf
+        else:
+            due = self._in_flight[0][0] if self._in_flight else inf
         return due, self._last_ack_ms
 
     def __len__(self) -> int:

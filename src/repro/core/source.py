@@ -25,12 +25,16 @@ trigger can fire a few microseconds earlier in its slice, and rarely a
 slice apart where that shift moves a network delivery across a slice
 boundary. A frame of 0 (no windowed stage) sends every advance.
 
-A run with no barrier to emit, no control item to flush and no event
-due yet returns at once: the full run would do nothing either.
+The source's :class:`WakeCell` holds the arrival time of its next event,
+or ``-inf`` while it has a barrier to emit or a control item to flush;
+the worker does not run it before then, since the run would do nothing.
+The coordinator wakes it when it arms a snapshot
+(:meth:`SourceTasklet.request_snapshot`).
 """
 from math import inf
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
+from .queues import WakeCell
 from .tasklet import RUN_OVERHEAD_MS, OutboundEdge, OutputBuffer
 
 
@@ -65,6 +69,7 @@ class SourceTasklet:
         self.pending_snapshot_sid: int | None = None
         self._finishing = False
         self._ctl = OutputBuffer(outputs[0])
+        self.cell = WakeCell()
 
     def _broadcast(self, item) -> None:
         self._ctl.push_control(item)
@@ -83,24 +88,26 @@ class SourceTasklet:
         self.done = False
         self._finishing = False
         self.last_wm = -1
+        self.cell.lower(-inf)
 
-    def _waiting(self) -> bool:
-        """Nothing to do until the next event arrives."""
-        return (
+    def request_snapshot(self, sid: int) -> None:
+        """Emit barrier ``sid`` at the next run, saving the offset."""
+        self.pending_snapshot_sid = sid
+        self.cell.lower(-inf)
+
+    def _set_cell(self) -> None:
+        """Due at the next event's arrival, unless a barrier or control
+        item waits; done: never again. Sources grant no credits."""
+        if self.done:
+            self.cell.due = inf
+        elif (
             self.pending_snapshot_sid is None
             and not self._ctl._buf
             and self.offset < len(self.events)
-        )
-
-    def wake_up(self) -> tuple[float, float] | None:
-        """``None`` when a run could do work now; else ``(due_ms,
-        ack_from_ms)`` as for :meth:`Tasklet.wake_up`: runs stay idle
-        until the next event arrives."""
-        if self.done:
-            return inf, inf
-        if not self._waiting():
-            return None
-        return self.events[self.offset][0], inf
+        ):
+            self.cell.due = self.events[self.offset][0]
+        else:
+            self.cell.due = -inf
 
     def skip_idle_runs(self, n: int) -> float:
         """The cost of one of ``n`` skipped idle runs (they change nothing)."""
@@ -111,8 +118,6 @@ class SourceTasklet:
         then a watermark update; finally EOS once drained."""
         if self.done:
             return False, 0.0
-        if self._waiting() and self.events[self.offset][0] > now_ms:
-            return False, RUN_OVERHEAD_MS / 4
         if not self._flush_control(now_ms):
             return False, 0.0
         progress = False
@@ -154,5 +159,6 @@ class SourceTasklet:
             progress = True
         if self._flush_control(now_ms) and self._finishing:
             self.done = True
+        self._set_cell()
         cost = RUN_OVERHEAD_MS + emitted * self.cost_per_item_ms
         return progress, cost if progress else RUN_OVERHEAD_MS / 4

@@ -16,10 +16,12 @@ Control items are handled here, uniformly for every processor:
   at-least-once (§4.4);
 * end-of-stream completes the processor and propagates.
 
-A run first asks its inputs whether a poll could return anything
-(:meth:`InboundChannel.ready`). When the outbox is empty and no input
-is ready, the run cannot change anything, so it returns at once with
-the same result and cost as the full idle run it replaces.
+Each tasklet has a :class:`WakeCell` that its input queues keep current
+from the push side, and that it recomputes itself after each run. The
+worker reads the cell and does not run a tasklet whose outbox is empty
+and none of whose inputs could return an item or grant credits: such a
+run would change nothing but the input rotation (see
+:meth:`Tasklet.skip_idle_runs`).
 
 Output ordering is strictly FIFO: data events and control items share
 one ordered buffer, so a barrier can never overtake the pre-barrier
@@ -31,7 +33,7 @@ from math import inf
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, FlushedEvent, Watermark
 from .processors import Processor
-from .queues import NetworkChannel, SPSCQueue
+from .queues import UNREAD, NetworkChannel, WakeCell
 
 #: Simulated cost of one run besides its items (ms); a run that finds
 #: nothing to do costs a quarter of it. Shared by source tasklets.
@@ -55,8 +57,9 @@ class InboundChannel:
         #: ``ready(now_ms)``: True when :meth:`poll` at ``now_ms`` would
         #: return an item or grant credits; False means it would change
         #: nothing. The queue's own check, bound here to save a call on
-        #: the hot path.
+        #: the hot path; ``wake_up()`` likewise.
         self.ready = queue.ready
+        self.wake_up = queue.wake_up
 
     def poll(self, now_ms: float):
         if isinstance(self.queue, NetworkChannel):
@@ -170,6 +173,9 @@ class Tasklet:
         self.wm = -1
         self._rr_input = 0
         self._finishing = False
+        self.cell = WakeCell()
+        for c in inputs:
+            c.queue.cell = self.cell
 
     def _maybe_advance_wm(self) -> None:
         new_wm = WM_MAX  # the min over live inputs; all done: the end
@@ -185,45 +191,42 @@ class Tasklet:
             self.out.push_control(Watermark(self.wm))
 
     def _barrier_ready(self) -> int | None:
-        sids = {c.barrier_seen for c in self.inputs if not c.done}
-        if sids and None not in sids and len(sids) == 1:
-            return next(iter(sids))
-        return None
-
-    def _idle(self, now_ms: float) -> bool:
-        """True when a run at ``now_ms`` would change nothing but the
-        input rotation: nothing to flush or finish, no input ready."""
-        if self.out._buf or self._finishing:
-            return False
+        """The snapshot id every live input has aligned on, if any."""
+        sid = None
         for c in self.inputs:
-            if c.done or (c.barrier_seen is not None and self.exactly_once):
+            if c.done:
                 continue
-            if c.ready(now_ms):
-                return False
-        return True
-
-    def wake_up(self) -> tuple[float, float] | None:
-        """``None`` when a run could do work now; else ``(due_ms,
-        ack_from_ms)``: runs stay idle until the first in-flight input
-        is delivered or an input's credit grant falls due."""
-        if self.done:
-            return inf, inf
-        if self.out._buf or self._finishing:
-            return None
-        due = ack_from = inf
-        for c in self.inputs:
-            if c.done or (c.barrier_seen is not None and self.exactly_once):
-                continue
-            wake = c.queue.wake_up()
-            if wake is None:
+            if c.barrier_seen is None or (sid is not None and c.barrier_seen != sid):
                 return None
-            due = min(due, wake[0])
-            ack_from = min(ack_from, wake[1])
-        return due, ack_from
+            sid = c.barrier_seen
+        return sid
+
+    def _set_cell(self) -> None:
+        """Recompute the wake cell from the outbox and the live,
+        unaligned inputs; done: never again."""
+        cell = self.cell
+        if self.done:
+            cell.due = cell.ack = inf
+            return
+        if self.out._buf or self._finishing:
+            cell.due = -inf
+            return
+        due = ack = inf
+        for c in self.inputs:
+            if c.done or (c.barrier_seen is not None and self.exactly_once):
+                continue
+            d, a = c.wake_up()
+            if d < due:
+                due = d
+            if a < ack:
+                ack = a
+        cell.due = due
+        cell.ack = ack
 
     def skip_idle_runs(self, n: int) -> float:
         """Account for ``n`` idle runs the scheduler skipped; returns
-        the simulated cost of one."""
+        the simulated cost of one. An idle run would poll nothing and
+        change nothing but the input rotation."""
         if self.done:
             return 0.0
         self._rr_input += n
@@ -234,6 +237,8 @@ class Tasklet:
             self.on_snapshot(sid, self.processor)
         for c in self.inputs:
             c.barrier_seen = None
+            if not c.done:
+                c.queue.cell = self.cell
         self.out.push_control(Barrier(sid))
 
     # -- main step ------------------------------------------------------
@@ -247,9 +252,6 @@ class Tasklet:
         """
         if self.done:
             return False, 0.0
-        if self._idle(now_ms):
-            self._rr_input += 1
-            return False, RUN_OVERHEAD_MS / 4
         self.processor.now_ms = now_ms  # simulated clock for trigger stamps
         progress = False
         # 1. drain any backed-up output first; no new input while blocked
@@ -260,7 +262,8 @@ class Tasklet:
         inbox: list[tuple[int, Event]] = []
         want = self.processor.wanted_ordinal()
         n_in = len(self.inputs)
-        order = [(self._rr_input + i) % n_in for i in range(n_in)]
+        first = self._rr_input % n_in if n_in else 0
+        order = [*range(first, n_in), *range(first)]
         if want is not None and any(
             c.ordinal == want and not c.done for c in self.inputs
         ):
@@ -285,9 +288,12 @@ class Tasklet:
                     break  # handle wm at a batch boundary
                 elif isinstance(item, Barrier):
                     ch.barrier_seen = item.snapshot_id
+                    if self.exactly_once:
+                        ch.queue.cell = UNREAD  # blocked until aligned
                     break
                 elif isinstance(item, EndOfStream):
                     ch.done = True
+                    ch.queue.cell = UNREAD
                     if all(c.done for c in self.inputs if c.ordinal == ch.ordinal):
                         self.processor.on_input_done(ch.ordinal)
                     break
@@ -316,6 +322,7 @@ class Tasklet:
         flushed = self.out.flush(now_ms)
         if self._finishing and flushed:
             self.done = True
+        self._set_cell()
         cost = RUN_OVERHEAD_MS + len(inbox) * self.cost_per_item_ms
         if self.metrics is not None and inbox:
             self.metrics.add_items(self.name, len(inbox))

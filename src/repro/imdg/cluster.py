@@ -88,6 +88,11 @@ class Cluster:
     def register_map(self, name: str) -> None:
         self._map_names.add(name)
 
+    def destroy_map(self, name: str) -> None:
+        for node in self.nodes.values():
+            node.storage.pop(name, None)
+        self._map_names.discard(name)
+
     def put(self, map_name: str, key, value) -> None:
         """Write-through to the primary and, synchronously, all backups."""
         pid = partition_id(key, self.n_partitions)

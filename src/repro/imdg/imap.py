@@ -40,6 +40,10 @@ class IMap:
         for k, v in entries.items():
             self.put(k, v)
 
+    def destroy(self) -> None:
+        """Drop the map: its fragments on every node, and its name."""
+        self.cluster.destroy_map(self.name)
+
     # -- scans ----------------------------------------------------------
 
     def entry_set(self) -> Iterator[tuple[object, object]]:

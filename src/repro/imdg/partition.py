@@ -13,6 +13,7 @@ Jet engine (which aligns its keyed-edge partitioning with the grid's,
 """
 import bisect
 import zlib
+from functools import lru_cache
 
 #: Hazelcast's default partition count.
 DEFAULT_PARTITION_COUNT = 271
@@ -65,28 +66,11 @@ class PartitionTable:
         backup_count: int = 1,
     ) -> "PartitionTable":
         """Assign every partition to ``1 + backup_count`` distinct nodes
-        via consistent hashing (ring walk from the partition's point)."""
+        via consistent hashing (ring walk from the partition's point).
+        A table is immutable, so one is built once per membership."""
         if not node_ids:
             raise ValueError("cannot assign partitions to an empty cluster")
-        n_replicas = min(1 + backup_count, len(node_ids))
-        ring: list[tuple[int, int]] = []
-        for nid in node_ids:
-            for v in range(VNODES):
-                ring.append((stable_hash(("vnode", nid, v)), nid))
-        ring.sort()
-        points = [h for h, _ in ring]
-        table = []
-        for pid in range(n_partitions):
-            start = bisect.bisect_left(points, stable_hash(("partition", pid))) % len(ring)
-            owners: list[int] = []
-            i = start
-            while len(owners) < n_replicas:
-                nid = ring[i % len(ring)][1]
-                if nid not in owners:
-                    owners.append(nid)
-                i += 1
-            table.append(owners)
-        return cls(table)
+        return _assign(tuple(node_ids), n_partitions, backup_count)
 
     def migrations_from(self, old: "PartitionTable") -> list[tuple[int, int, int]]:
         """Replica movements needed to go from ``old`` to this table.
@@ -101,3 +85,26 @@ class PartitionTable:
                 if ridx >= len(old_owners) or old_owners[ridx] != nid:
                     moves.append((pid, ridx, nid))
         return moves
+
+
+@lru_cache(maxsize=64)
+def _assign(node_ids: tuple[int, ...], n_partitions: int, backup_count: int) -> PartitionTable:
+    n_replicas = min(1 + backup_count, len(node_ids))
+    ring: list[tuple[int, int]] = []
+    for nid in node_ids:
+        for v in range(VNODES):
+            ring.append((stable_hash(("vnode", nid, v)), nid))
+    ring.sort()
+    points = [h for h, _ in ring]
+    table = []
+    for pid in range(n_partitions):
+        start = bisect.bisect_left(points, stable_hash(("partition", pid))) % len(ring)
+        owners: list[int] = []
+        i = start
+        while len(owners) < n_replicas:
+            nid = ring[i % len(ring)][1]
+            if nid not in owners:
+                owners.append(nid)
+            i += 1
+        table.append(owners)
+    return PartitionTable(table)

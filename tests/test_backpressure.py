@@ -1,9 +1,19 @@
 """Backpressure behaviour (§3.3): local bounded queues and the
-credit-based network receive window, unit level and end to end."""
-import pytest
+credit-based network receive window, unit level and end to end; and
+the wake cells through which queues tell their consumers they have
+work."""
+from math import inf
 
-from repro.core.engine import JetEngine, SimConfig
-from repro.core.queues import NetworkChannel
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.engine import JetEngine, SimConfig, Worker
+from repro.core.items import Barrier, EndOfStream, Event
+from repro.core.processors import Processor
+from repro.core.queues import ACK_INTERVAL_MS, NetworkChannel, SPSCQueue
+from repro.core.source import SourceTasklet
+from repro.core.tasklet import InboundChannel, OutboundEdge, Tasklet
 from repro.nexmark import generator as gen
 from repro.nexmark import queries_jet as qj
 
@@ -74,3 +84,97 @@ def test_backpressure_delays_source_under_slow_consumer():
     ms = slow.run()
     assert len(slow.results()) == len(data.bids)
     assert sum(ms.event_latencies) > 5 * sum(mf.event_latencies)
+
+
+# -- wake cells: push-side readiness -------------------------------------
+
+
+class Collect(Processor):
+    def process(self, ev, ordinal):
+        return []
+
+
+def consumer(queues, *, exactly_once=True, inbox_limit=256):
+    t = Tasklet("t", Collect(), [InboundChannel(q) for q in queues], [],
+                exactly_once=exactly_once, inbox_limit=inbox_limit)
+    w = Worker(slice_ms=0.5)
+    w.add(t)
+    return t, w
+
+
+def idle(cell, at):
+    """The worker's test: a run at ``at`` would change nothing."""
+    return at < cell.due and at - cell.ack < ACK_INTERVAL_MS
+
+
+def test_local_offer_wakes_consumer():
+    q = SPSCQueue(4)
+    t, w = consumer([q])
+    w.run_slice(0.0)  # nothing to poll: the run settles both cells
+    assert idle(t.cell, 0.5) and idle(w.cell, 0.5)
+    q.offer(Event("a", 0))
+    assert t.cell.due == w.cell.due == -inf
+    w.run_slice(0.5)
+    assert idle(t.cell, 1.0) and idle(w.cell, 1.0)
+
+
+def test_network_offer_lowers_due_to_delivery_time():
+    ch = NetworkChannel(latency_ms=0.5)
+    t, w = consumer([ch])
+    w.run_slice(0.0)
+    assert (t.cell.due, t.cell.ack) == (inf, 0.0)
+    ch.offer("x", 10.0)
+    ch.offer("y", 10.2)
+    assert t.cell.due == w.cell.due == 10.5
+    assert idle(t.cell, 10.4) and not ch.ready(10.4)
+    assert not idle(t.cell, 10.5) and ch.ready(10.5)
+    assert not idle(t.cell, 100.0)  # a credit grant is due
+
+
+def test_source_with_pending_snapshot_is_not_idle():
+    src = SourceTasklet("s", [(100, 100, "a")], [OutboundEdge([SPSCQueue(4)])])
+    src.run(0.0)
+    assert src.cell.due == 100 and idle(src.cell, 50.0)
+    src.request_snapshot(1)
+    assert not idle(src.cell, 50.0)
+    assert src.run(50.0)[0]  # emits the barrier
+    assert idle(src.cell, 50.0)
+
+
+#: one step of a random channel history, ``(time step, queue, item)``:
+#: an offer of the item, or a worker slice when the queue index is None
+#: or past the last queue
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.1, 0.5, 2.0, 60.0]),
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.sampled_from(["ev", "ev", "barrier", "eos"]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.booleans(), min_size=1, max_size=4), steps=STEPS,
+       exactly_once=st.booleans())
+def test_wake_cell_matches_per_channel_ready(kinds, steps, exactly_once):
+    """Under offers and runs in any order, the cell's idle test equals
+    asking every live, unaligned input whether it is ready."""
+    queues = [NetworkChannel(latency_ms=0.7) if net else SPSCQueue(8) for net in kinds]
+    t, w = consumer(queues, exactly_once=exactly_once, inbox_limit=2)
+    now = 0.0
+    w.run_slice(now)  # a fresh cell says "run me" until the first run
+    for dt, ci, kind in steps:
+        now += dt
+        item = {"ev": Event("e", 0), "barrier": Barrier(1), "eos": EndOfStream()}[kind]
+        if ci is None or ci >= len(queues):  # no such queue: a slice
+            w.run_slice(now)
+        elif isinstance(queues[ci], NetworkChannel):
+            queues[ci].offer(item, now)
+        else:
+            queues[ci].offer(item)
+        assert (w.cell.due, w.cell.ack) == (t.cell.due, t.cell.ack)
+        for at in (now, now + 0.3, now + 0.7, now + 99.0, now + 150.0):
+            live = [c for c in t.inputs
+                    if not c.done and (c.barrier_seen is None or not exactly_once)]
+            assert idle(t.cell, at) == (not any(c.ready(at) for c in live))

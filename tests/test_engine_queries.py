@@ -141,26 +141,30 @@ def sparse():
 
 
 def scheduler_case(case: str, data, sparse):
-    """(pipeline, sources, SimConfig kwargs, fail_at) of one golden case."""
+    """(pipeline, sources, SimConfig kwargs, fail_at, nodes) of one golden case."""
     xo = dict(guarantee="exactly-once", snapshot_interval_ms=250)
     bids = {"bids": qj.bid_events(data)}
     if case == "q8_exactly_once_crash":
         sources = {"persons": qj.person_events(data), "auctions": qj.auction_events(data)}
-        return qj.q8_pipeline(size_ms=500), sources, dict(CFG, **xo), [(600, 1)]
+        return qj.q8_pipeline(size_ms=500), sources, dict(CFG, **xo), [(600, 1)], 2
+    if case == "q8_exactly_once_crash_3x4_g1_gc":
+        sources = {"persons": qj.person_events(data), "auctions": qj.auction_events(data)}
+        cfg = dict(CFG, threads_per_node=4, gc=G1_TUNED, **xo)
+        return qj.q8_pipeline(size_ms=500), sources, cfg, [(600, 1)], 3
     if case == "q13":
         t0 = int(data.bids["arrival_ms"].min())
-        return qj.q13_pipeline(side_size=64), dict(bids, side=qj.side_events(64, t0)), CFG, None
+        return qj.q13_pipeline(side_size=64), dict(bids, side=qj.side_events(64, t0)), CFG, None, 2
     if case == "q5_at_least_once_crash_tiny_queues":
         cfg = dict(CFG, guarantee="at-least-once", snapshot_interval_ms=250,
                    queue_capacity=8, inbox_limit=4)
-        return qj.q5_pipeline(size_ms=1_000, slide_ms=250), bids, cfg, [(600, 1)]
+        return qj.q5_pipeline(size_ms=1_000, slide_ms=250), bids, cfg, [(600, 1)], 2
     if case == "q1_g1_gc_fine_slices":
-        return qj.q1_pipeline(), bids, dict(CFG, slice_ms=0.1, gc=G1_TUNED), None
+        return qj.q1_pipeline(), bids, dict(CFG, slice_ms=0.1, gc=G1_TUNED), None, 2
     if case == "q8_sparse":
         sources = {"persons": qj.person_events(sparse), "auctions": qj.auction_events(sparse)}
-        return qj.q8_pipeline(size_ms=1_000), sources, CFG, None
+        return qj.q8_pipeline(size_ms=1_000), sources, CFG, None, 2
     assert case == "q5_sparse"
-    return qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(sparse)}, CFG, None
+    return qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(sparse)}, CFG, None, 2
 
 
 #: sha256 of each case's sorted results, trigger and event latencies,
@@ -171,21 +175,25 @@ def scheduler_case(case: str, data, sparse):
 #: start at other offsets, which moves end-of-stream flush latencies by
 #: under 0.001 ms and, under at-least-once, which replayed events count
 #: twice. Keeping end-of-stream flush rows out of the event latencies
-#: re-pinned the same three; nothing else in their traces moved
+#: re-pinned the same three; nothing else in their traces moved. The
+#: 3 nodes × 4 threads case (fan-in 24, sleeping workers, a paused node)
+#: was pinned from the engine that scanned every input of every tasklet
+#: for readiness, before producers kept wake cells current
 SCHEDULER_GOLDEN_SHA256 = {
     "q1_g1_gc_fine_slices": "2a297b65765d7377ad382a406aaaafd8eb0f9c746361189d47dbe4daf96bd4c8",
     "q13": "fae1baafd7d932a6c0b7ceb514ed8c020daadbda2853d8bde03c7f9c3f4ca7f5",
     "q5_at_least_once_crash_tiny_queues": "0a01eeb6953e3ffae89f558022a95c0ed48213d09909d0742f9a79ef1a5a9945",
     "q5_sparse": "38f2b949cc8e9fa1235e8fbf1c8f6bdc5d2273187a358f87ce039ef54c83a9ab",
     "q8_exactly_once_crash": "132c59cbba4e377e050cfcb46357271f56a3d912ce1d14b85a5e682dd582a9d4",
+    "q8_exactly_once_crash_3x4_g1_gc": "c19e98f9b077b1772c74a74193d716eb48520aa4e859d64fa66a6a111a805388",
     "q8_sparse": "35c379651ca4efa882dbf0e5bfe1dbd70b55a85ee473e5be457d3fc37fe3c75f",
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCHEDULER_GOLDEN_SHA256))
 def test_scheduler_golden_trace(data, sparse, case):
-    pipeline, sources, cfg, fail_at = scheduler_case(case, data, sparse)
-    eng = JetEngine(pipeline.compile(), sources, n_nodes=2, cfg=SimConfig(**cfg))
+    pipeline, sources, cfg, fail_at, n_nodes = scheduler_case(case, data, sparse)
+    eng = JetEngine(pipeline.compile(), sources, n_nodes=n_nodes, cfg=SimConfig(**cfg))
     m = eng.run(fail_at=fail_at)
     trace = (
         sorted(sorted(r.items()) for r in eng.results()),
@@ -209,8 +217,8 @@ def test_idle_steps_are_skipped(data, sparse, monkeypatch):
         run_slice(self, now_ms)
 
     monkeypatch.setattr(Worker, "run_slice", counted)
-    pipeline, sources, cfg, _ = scheduler_case("q8_sparse", data, sparse)
-    eng = JetEngine(pipeline.compile(), sources, n_nodes=2, cfg=SimConfig(**cfg))
+    pipeline, sources, cfg, _, n_nodes = scheduler_case("q8_sparse", data, sparse)
+    eng = JetEngine(pipeline.compile(), sources, n_nodes=n_nodes, cfg=SimConfig(**cfg))
     eng.run()
     every_step = (eng.now - eng.t0) / eng.cfg.slice_ms * len(eng.workers)
     assert eng.results()
@@ -226,7 +234,7 @@ def test_watermark_frame_keeps_output_and_trigger_times(data, monkeypatch, case)
         pipeline = qj.q5_pipeline(size_ms=1_000, slide_ms=100)
         sources, cfg, fail_at, proc = {"bids": qj.bid_events(data)}, CFG, None, WindowCombiner
     else:
-        pipeline, sources, cfg, fail_at = scheduler_case(case, data, None)
+        pipeline, sources, cfg, fail_at, _ = scheduler_case(case, data, None)
         proc = TumblingJoin
     calls = [0]
     on_watermark = proc.on_watermark

@@ -135,6 +135,33 @@ def test_exactly_once_q8_crash_equals_clean_run(data):
     assert multiset(crashed.results(), cols) == multiset(clean.results(), cols)
 
 
+def test_snapshot_maps_are_retained_only_for_the_last_snapshot(data):
+    """Completing a snapshot destroys the maps of every older one, the
+    partial maps of the snapshot the crash cancelled included: over
+    many snapshots the grid holds one snapshot's maps, and the crashed
+    run still commits the rows of the clean one."""
+    runs = []
+    for fail_at in (None, [(610, 1)]):
+        eng = mk_engine(
+            qj.q5_pipeline(size_ms=1_000, slide_ms=250),
+            {"bids": qj.bid_events(data)},
+            guarantee="exactly-once",
+            snapshot_ms=40,
+        )
+        m = eng.run(fail_at=fail_at)
+        snap_maps = {
+            name
+            for node in eng.cluster.nodes.values()
+            for name in node.storage
+            if name.startswith("__snap.") and name != "__snap.meta"
+        }
+        runs.append((eng, m, snap_maps))
+    (clean, _, _), (crashed, m, snap_maps) = runs
+    assert m.recoveries == 1 and m.snapshots_completed >= 20
+    assert {name.split(".")[1] for name in snap_maps} == {str(crashed.last_complete_sid)}
+    assert multiset(crashed.results(), Q5_COLS) == multiset(clean.results(), Q5_COLS)
+
+
 def test_crash_without_backups_raises_data_loss(data):
     """With ``backup_count=0`` the crashed member held the only replica
     of its partitions, snapshots included: recovery cannot restore the
