@@ -14,22 +14,24 @@ producers keep current: a local offer marks the consumer ready, a
 network offer lowers its wake-up time to the delivery time, the
 coordinator wakes the sources it asks to snapshot, and a tasklet
 recomputes its own cell after each run. A worker charges a tasklet whose
-cell shows no work at the run's time as an idle run without calling it,
-and a worker whose cell shows none before its slice ends as one idle
-pass. When no worker made progress in a step, the clock jumps over the
+cell shows no work at the run's time as an idle run without calling it.
+The step loop reads each worker's cell and does not call a worker whose
+cell shows no work before its slice ends: the worker is owed one idle
+pass, and charges all the passes it is owed at once before its next
+run. When no worker made progress in a step, the clock jumps over the
 following steps up to the next wake-up — a source arrival, a network
 delivery or credit grant, a snapshot trigger, a failure injection, a GC
-pause start or end — still by repeated ``+= slice_ms``, charging each
-skipped step as an idle pass.
+pause start or end — still by repeated ``+= slice_ms``, owing each
+running worker one idle pass per skipped step.
 
 Fault tolerance follows §4.4: a coordinator periodically instructs
 source tasklets to snapshot; aligned barriers flow through the DAG;
-every tasklet writes its state into IMDG IMaps (replicated, §2.4); a
-snapshot completes when all tasklets have acked. ``fail_node`` kills a
-member mid-run — the IMDG promotes backups, a fresh member joins, the
-job restarts from the last completed snapshot, sources replay from
-their recorded offsets, and transactional sinks dedup re-commits,
-yielding end-to-end exactly-once output.
+every tasklet writes its state into IMDG IMaps (replicated, §2.4), one
+chunk per instance; a snapshot completes when all tasklets have acked.
+``fail_node`` kills a member mid-run — the IMDG promotes backups, a
+fresh member joins, the job restarts from the last completed snapshot,
+sources replay from their recorded offsets, and transactional sinks
+dedup re-commits, yielding end-to-end exactly-once output.
 
 No reference cycle runs through the engine: processors get a plain job
 context, partitioned routes hold the partition owner table, and the
@@ -107,13 +109,15 @@ class Worker:
 
     Its wake cell holds the minimum of its tasklets' cells: it is
     recomputed after each slice that runs, and lowered by every push to
-    one of its tasklets in between.
+    one of its tasklets in between. ``owed`` counts the idle passes of
+    the slices it was not run in, charged before its next run.
     """
 
     def __init__(self, slice_ms: float):
         self.tasklets: list = []
         self.slice_ms = slice_ms
         self.progressed = False  # did the last slice's runs make progress
+        self.owed = 0
         self.cell = WakeCell()
 
     def add(self, tasklet) -> None:
@@ -126,8 +130,11 @@ class Worker:
         end = now_ms + self.slice_ms
         if end < cell.due and end - cell.ack < ACK_INTERVAL_MS:
             # no tasklet can have work at any run time of this slice
-            self.skip_idle_slices(1)
+            self.owed += 1
             return
+        if self.owed:
+            self.skip_idle_slices(self.owed)
+            self.owed = 0
         budget = self.slice_ms
         while budget > 0:
             progressed = False
@@ -350,22 +357,17 @@ class JetEngine:
     def _inst_map(self, sid: int) -> IMap:
         return self._imap(f"__snap.{sid}.__inst")
 
-    def _meta_map(self) -> IMap:
-        return self._imap("__snap.meta")
-
     def _mk_snapshot_cb(self, vname: str, k: int):
         """``cb(sid, owner)`` saves a source tasklet's or processor's
-        keyed entries (a map is made only for some) and instance state,
-        then acks. It holds a weak proxy: tasklets must not keep the
-        engine alive."""
+        keyed entries as one chunk ``k -> (ack order, entries)`` (a map
+        is made only for some) and its instance state, then acks. It
+        holds a weak proxy: tasklets must not keep the engine alive."""
         eng = weakref.proxy(self)
 
         def cb(sid: int, owner) -> None:
             keyed = owner.save_keyed()
             if keyed:
-                snap = eng._imap(eng._snap_name(sid, vname))
-                for key, val in keyed.items():
-                    snap.put((k, key), val)
+                eng._imap(eng._snap_name(sid, vname)).put(k, (len(eng._acks), keyed))
             eng._inst_map(sid).put((vname, k), owner.save_inst())
             eng._ack(sid, vname, k)
 
@@ -381,7 +383,6 @@ class JetEngine:
             return  # stale ack from a cancelled snapshot
         self._acks.add((vname, k))
         if len(self._acks) == self._expected_acks():
-            self._meta_map().put(sid, True)
             self.last_complete_sid = sid
             self.inflight_sid = None
             self.metrics.snapshots_completed += 1
@@ -403,8 +404,7 @@ class JetEngine:
         """Drop the maps of every older snapshot, completed or cancelled:
         recovery reads only the last completed one."""
         for name in list(self._imaps):
-            parts = name.split(".", 2)  # __snap.<sid>.<vertex> or __snap.meta
-            if len(parts) == 3 and int(parts[1]) < sid:
+            if int(name.split(".", 2)[1]) < sid:  # __snap.<sid>.<vertex>
                 self._imaps.pop(name).destroy()
 
     def _snapshot_armed(self) -> bool:
@@ -462,16 +462,23 @@ class JetEngine:
         # keyed state: merge partials per state key, re-route every entry
         # by its record key through the current partition table (the
         # same in every process), restore per instance
+        n_parts = self.cluster.n_partitions
         for vname in self.dag.vertices:
             snap = self._imaps.get(self._snap_name(sid, vname))
             if snap is None:
                 continue  # no instance held keyed state
             proc = self.procs[(vname, 0)]
+            # the chunks' entries in ack order, stable-sorted by the
+            # partition of (instance, state key): the order a scan of
+            # one put per entry gives, since a partition's fragment
+            # keeps its put order (replicas are copied whole)
+            chunks = sorted(snap.entry_set(), key=lambda e: e[1][0])
+            entries = [((k, key), val) for k, (_, keyed) in chunks for key, val in keyed.items()]
+            entries.sort(key=lambda e: partition_id(e[0], n_parts))
             merged: dict = {}
-            for (_inst, key), val in snap.entry_set():
+            for (_inst, key), val in entries:
                 merged[key] = proc.merge(merged[key], val) if key in merged else val
             owners = self._partition_owners(self._n_inst(vname))
-            n_parts = self.cluster.n_partitions
             per_inst: dict[int, dict] = {}
             for key, val in merged.items():
                 inst = owners[partition_id(proc.record_key(key), n_parts)]
@@ -523,8 +530,8 @@ class JetEngine:
         grant falls due in it, and the coordinator would neither inject
         a failure, start a snapshot nor see a GC pause begin or end. The
         clock still advances by repeated ``+= slice_ms``, so its values
-        match a run that executes every step, and each skipped step is
-        charged as the idle pass it replaces.
+        match a run that executes every step, and each running worker is
+        owed the idle pass each skipped step replaces.
         """
         due = min((w.cell.due for w in running), default=inf)
         if due == -inf:
@@ -549,7 +556,7 @@ class JetEngine:
             skipped += 1
         if skipped:
             for w in running:
-                w.skip_idle_slices(skipped)
+                w.owed += skipped
 
     def run(self, *, fail_at: list[tuple[float, int]] | None = None) -> Metrics:
         """Advance simulated time until every sink completed.
@@ -563,8 +570,14 @@ class JetEngine:
                 self.fail_node(schedule.pop(0)[1])
             self._maybe_trigger_snapshot()
             running = self._running()
+            now, end = self.now, self.now + self.cfg.slice_ms
             for worker in running:
-                worker.run_slice(self.now)
+                cell = worker.cell
+                if end < cell.due and end - cell.ack < ACK_INTERVAL_MS:
+                    worker.owed += 1  # Worker.run_slice's idle test, inline
+                    worker.progressed = False
+                else:
+                    worker.run_slice(now)
             self._tick()
             if not any(w.progressed for w in running):
                 self._skip_idle_steps(running, schedule)

@@ -12,16 +12,21 @@ experiments: ``offer`` fails when full (local backpressure, §3.3) and
 credit-based flow control, modelling the distributed-edge receive
 window of §3.3 (ack every 100 ms, ~300 ms worth of credits).
 
-Every queue knows the :class:`WakeCell` of its consumer and keeps it
-current from the push side: an ``offer`` to a local queue marks the
-consumer ready now, one to a network channel lowers the consumer's
-wake-up time to the item's delivery time. Two consumer-side questions
-are answered without changing state: ``ready(now_ms)`` — would a poll
-at ``now_ms`` return an item or grant credits — and ``wake_up()`` —
-``(due_ms, ack_from_ms)``: ``-inf`` when an item is waiting now, else
-the delivery time of the oldest in-flight item, and the time of the
-last credit grant — from which the consumer recomputes its cell after
-a run.
+Every queue knows its consumer's due slot for it and the consumer's
+:class:`WakeCell`, and keeps both current from the push side: an
+``offer`` to a local queue marks the slot and the consumer ready now,
+one to a network channel lowers them to the item's delivery time. Two
+consumer-side questions are answered without changing state:
+``ready(now_ms)`` — would a poll at ``now_ms`` return an item or grant
+credits — and ``wake_up()`` — ``(due_ms, ack_from_ms)``: ``-inf`` when
+an item is waiting now, else the delivery time of the oldest in-flight
+item, and the time of the last credit grant — from which the consumer
+rewrites its slots after it drains the queue.
+
+Both kinds take ``(item, now_ms)`` in ``offer`` and ``now_ms`` in
+``poll`` (a local queue ignores the time), so a consumer binds ``poll``
+once per queue, and a network channel grants credits from its own
+``poll``.
 """
 from collections import deque
 from math import inf
@@ -63,32 +68,55 @@ class WakeCell:
             cell = cell.up
 
 
-#: The cell of a queue whose consumer does not read it: none yet, the
-#: queue is done, or it is blocked on barrier alignment. It always
-#: reads "work now", so offers leave it alone.
+#: The cell and due slots of a queue whose consumer does not read it:
+#: none yet, the queue is done, or it is blocked on barrier alignment.
+#: Both always read "work now", so offers leave them alone.
 UNREAD = WakeCell()
+UNREAD_DUES = [-inf]
 
 
-class SPSCQueue:
+class Consumed:
+    """The consumer side a queue keeps current on offer: ``dues[slot]``,
+    the consumer's due slot for this queue, and its wake ``cell``."""
+
+    __slots__ = ("cell", "dues", "slot")
+
+    def __init__(self):
+        self.detach()
+
+    def attach(self, cell: WakeCell, dues: list, slot: int) -> None:
+        """Keep ``dues[slot]`` and ``cell`` current from now on."""
+        self.cell = cell
+        self.dues = dues
+        self.slot = slot
+
+    def detach(self) -> None:
+        """Wake nobody: the consumer no longer reads this queue."""
+        self.attach(UNREAD, UNREAD_DUES, 0)
+
+
+class SPSCQueue(Consumed):
     """Bounded FIFO with non-blocking offer/poll."""
 
-    __slots__ = ("capacity", "_q", "cell")
+    __slots__ = ("capacity", "_q")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        super().__init__()
         self.capacity = capacity
         self._q: deque = deque()
-        self.cell = UNREAD  # the consumer's while it reads the queue
 
-    def offer(self, item) -> bool:
+    def offer(self, item, now_ms: float = 0.0) -> bool:
         """Enqueue unless full; returns False (producer backs off) when full."""
         if len(self._q) >= self.capacity:
             return False
         self._q.append(item)
-        if self.cell.due != -inf:
+        dues = self.dues
+        if dues[self.slot] != -inf:
+            dues[self.slot] = -inf
             self.cell.lower(-inf)
         return True
 
-    def poll(self):
+    def poll(self, now_ms: float = 0.0):
         """Dequeue one item, or None when empty."""
         return self._q.popleft() if self._q else None
 
@@ -102,7 +130,7 @@ class SPSCQueue:
         return len(self._q)
 
 
-class NetworkChannel:
+class NetworkChannel(Consumed):
     """A distributed-edge channel: latency + credit flow control.
 
     The producer spends one *credit* per item; the consumer re-grants
@@ -121,6 +149,7 @@ class NetworkChannel:
         initial_credits: int = 4096,
         capacity: int = 1 << 20,
     ):
+        super().__init__()
         self.latency_ms = latency_ms
         self.ack_interval_ms = ack_interval_ms
         self.window_ms = window_ms
@@ -132,7 +161,6 @@ class NetworkChannel:
         self._consumed_since_ack = 0
         self.sent = 0
         self.received = 0
-        self.cell = UNREAD  # the consumer's while it reads the queue
 
     def offer(self, item, now_ms: float) -> bool:
         """Send one item if a credit is available."""
@@ -142,22 +170,25 @@ class NetworkChannel:
         due = now_ms + self.latency_ms
         self._in_flight.append((due, item))
         self.sent += 1
-        if due < self.cell.due:
+        dues = self.dues
+        if due < dues[self.slot]:
+            dues[self.slot] = due
             self.cell.lower(due)
         return True
 
-    def _promote(self, now_ms: float) -> None:
-        while self._in_flight and self._in_flight[0][0] <= now_ms:
-            self._ready.append(self._in_flight.popleft()[1])
-
     def poll(self, now_ms: float):
-        """Receive one delivered item, or None."""
-        self._promote(now_ms)
-        if not self._ready:
+        """Grant credits if an ack is due, then receive one delivered
+        item, or None."""
+        if now_ms - self._last_ack_ms >= self.ack_interval_ms:
+            self.maybe_ack(now_ms)
+        in_flight, ready = self._in_flight, self._ready
+        while in_flight and in_flight[0][0] <= now_ms:
+            ready.append(in_flight.popleft()[1])
+        if not ready:
             return None
         self._consumed_since_ack += 1
         self.received += 1
-        return self._ready.popleft()
+        return ready.popleft()
 
     def maybe_ack(self, now_ms: float) -> None:
         """Consumer-side credit grant, every ``ack_interval_ms``.

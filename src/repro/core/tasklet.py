@@ -16,12 +16,22 @@ Control items are handled here, uniformly for every processor:
   at-least-once (§4.4);
 * end-of-stream completes the processor and propagates.
 
-Each tasklet has a :class:`WakeCell` that its input queues keep current
-from the push side, and that it recomputes itself after each run. The
-worker reads the cell and does not run a tasklet whose outbox is empty
-and none of whose inputs could return an item or grant credits: such a
-run would change nothing but the input rotation (see
-:meth:`Tasklet.skip_idle_runs`).
+Each tasklet keeps one due slot per input, ``_due[i]`` and ``_ack[i]``:
+while input ``i`` is live and not blocked on alignment they equal its
+queue's ``wake_up()``, else both read ``inf``. The queue writes its slot
+on ``offer`` and the tasklet rewrites it after draining the input, so a
+run tests the slots instead of asking each queue, and drains only the
+inputs that could return an item or grant credits. The tasklet's
+:class:`WakeCell`, which the queues lower from the push side, is the
+minimum of the slots after each run. The worker reads the cell and does
+not run a tasklet whose outbox is empty and none of whose inputs could
+return an item or grant credits: such a run would change nothing but
+the input rotation (see :meth:`Tasklet.skip_idle_runs`).
+
+The vertex watermark is the minimum over live inputs. The tasklet keeps
+it with the number of live inputs that hold it, and rescans the inputs
+only when the last of them advances or ends; barrier alignment and
+completion are checked only in a run that polled a control item.
 
 Output ordering is strictly FIFO: data events and control items share
 one ordered buffer, so a barrier can never overtake the pre-barrier
@@ -29,11 +39,12 @@ events it must follow (the correctness heart of aligned snapshots),
 even when a full downstream queue forces partial flushes.
 """
 from collections import deque
+from itertools import chain
 from math import inf
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, FlushedEvent, Watermark
 from .processors import Processor
-from .queues import UNREAD, NetworkChannel, WakeCell
+from .queues import ACK_INTERVAL_MS, WakeCell
 
 #: Simulated cost of one run besides its items (ms); a run that finds
 #: nothing to do costs a quarter of it. Shared by source tasklets.
@@ -54,18 +65,13 @@ class InboundChannel:
         self.wm = -1  # highest watermark seen on this channel
         self.done = False
         self.barrier_seen: int | None = None  # sid awaiting alignment
-        #: ``ready(now_ms)``: True when :meth:`poll` at ``now_ms`` would
-        #: return an item or grant credits; False means it would change
-        #: nothing. The queue's own check, bound here to save a call on
-        #: the hot path; ``wake_up()`` likewise.
+        #: ``poll(now_ms)``: the queue's own, bound once to save a call
+        #: on the hot path; ``ready(now_ms)`` (True when a poll at
+        #: ``now_ms`` would return an item or grant credits) and
+        #: ``wake_up()`` likewise.
+        self.poll = queue.poll
         self.ready = queue.ready
         self.wake_up = queue.wake_up
-
-    def poll(self, now_ms: float):
-        if isinstance(self.queue, NetworkChannel):
-            self.queue.maybe_ack(now_ms)
-            return self.queue.poll(now_ms)
-        return self.queue.poll()
 
 
 class OutboundEdge:
@@ -80,8 +86,7 @@ class OutboundEdge:
         self._rr = 0
 
     def _offer(self, idx: int, item, now_ms: float) -> bool:
-        q = self.queues[idx]
-        return q.offer(item, now_ms) if isinstance(q, NetworkChannel) else q.offer(item)
+        return self.queues[idx].offer(item, now_ms)
 
     def offer_event(self, ev: Event, now_ms: float) -> bool:
         if self.route is None:
@@ -174,21 +179,49 @@ class Tasklet:
         self._rr_input = 0
         self._finishing = False
         self.cell = WakeCell()
-        for c in inputs:
-            c.queue.cell = self.cell
+        n_in = len(inputs)
+        self._due = [inf] * n_in
+        self._ack = [inf] * n_in
+        for ci in range(n_in):
+            self._attach(ci)
+        self.cell.ack = min(self._ack, default=inf)
+        self._ack_moved = False  # an ack slot changed since cell.ack was set
+        #: the lowest watermark of a live input (all done: the end), and
+        #: how many live inputs hold it
+        self._low = -1 if inputs else WM_MAX
+        self._low_n = n_in
 
-    def _maybe_advance_wm(self) -> None:
-        new_wm = WM_MAX  # the min over live inputs; all done: the end
-        for c in self.inputs:
-            if not c.done and c.wm < new_wm:
-                new_wm = c.wm
-        if new_wm > self.wm:
-            self.wm = new_wm
-            out = self.processor.on_watermark(self.wm)
-            if self.wm == WM_MAX:
-                out = [FlushedEvent(ev.payload, ev.ts_ms) for ev in out]
-            self.out.push_events(out)
-            self.out.push_control(Watermark(self.wm))
+    def _attach(self, ci: int) -> None:
+        """Read input ``ci`` again: its queue keeps the slot current."""
+        ch = self.inputs[ci]
+        ch.queue.attach(self.cell, self._due, ci)
+        self._due[ci], self._ack[ci] = ch.wake_up()
+        self._ack_moved = True
+
+    def _detach(self, ci: int) -> None:
+        """Stop reading input ``ci`` (done, or blocked on alignment)."""
+        self.inputs[ci].queue.detach()
+        self._due[ci] = self._ack[ci] = inf
+        self._ack_moved = True
+
+    def _leave_low(self, wm: int) -> None:
+        """An input no longer holds watermark ``wm`` as a live input: it
+        advanced or ended. Rescan when it was the last at the low."""
+        if wm == self._low:
+            self._low_n -= 1
+            if not self._low_n:
+                live = [c.wm for c in self.inputs if not c.done]
+                self._low = min(live, default=WM_MAX)
+                self._low_n = live.count(self._low)
+
+    def _advance_wm(self) -> None:
+        """Move the vertex watermark up to the low of the live inputs."""
+        self.wm = self._low
+        out = self.processor.on_watermark(self.wm)
+        if self.wm == WM_MAX:
+            out = [FlushedEvent(ev.payload, ev.ts_ms) for ev in out]
+        self.out.push_events(out)
+        self.out.push_control(Watermark(self.wm))
 
     def _barrier_ready(self) -> int | None:
         """The snapshot id every live input has aligned on, if any."""
@@ -202,26 +235,19 @@ class Tasklet:
         return sid
 
     def _set_cell(self) -> None:
-        """Recompute the wake cell from the outbox and the live,
-        unaligned inputs; done: never again."""
+        """Recompute the wake cell from the outbox and the due slots of
+        the live, unaligned inputs; done: never again. ``ack`` is always
+        the least ack slot, which only the tasklet's own runs change."""
         cell = self.cell
+        if self._ack_moved:
+            cell.ack = min(self._ack, default=inf)
+            self._ack_moved = False
         if self.done:
-            cell.due = cell.ack = inf
-            return
-        if self.out._buf or self._finishing:
+            cell.due = inf
+        elif self.out._buf or self._finishing:
             cell.due = -inf
-            return
-        due = ack = inf
-        for c in self.inputs:
-            if c.done or (c.barrier_seen is not None and self.exactly_once):
-                continue
-            d, a = c.wake_up()
-            if d < due:
-                due = d
-            if a < ack:
-                ack = a
-        cell.due = due
-        cell.ack = ack
+        else:
+            cell.due = min(self._due, default=inf)
 
     def skip_idle_runs(self, n: int) -> float:
         """Account for ``n`` idle runs the scheduler skipped; returns
@@ -235,10 +261,10 @@ class Tasklet:
     def _take_snapshot(self, sid: int) -> None:
         if self.on_snapshot is not None:
             self.on_snapshot(sid, self.processor)
-        for c in self.inputs:
+        for ci, c in enumerate(self.inputs):
             c.barrier_seen = None
             if not c.done:
-                c.queue.cell = self.cell
+                self._attach(ci)
         self.out.push_control(Barrier(sid))
 
     # -- main step ------------------------------------------------------
@@ -258,45 +284,60 @@ class Tasklet:
         if not self.out.flush(now_ms):
             return False, RUN_OVERHEAD_MS / 4
 
-        # 2. drain inputs into the inbox
+        # 2. drain the inputs whose slots show an item or a credit grant
+        # due, in round-robin order from this run's first input; a done
+        # or aligned input reads inf. Draining one input rewrites no
+        # other input's slots, so the ready inputs are listed up front.
         inbox: list[tuple[int, Event]] = []
-        want = self.processor.wanted_ordinal()
-        n_in = len(self.inputs)
+        inputs, due, ack = self.inputs, self._due, self._ack
+        n_in = len(inputs)
         first = self._rr_input % n_in if n_in else 0
-        order = [*range(first, n_in), *range(first)]
-        if want is not None and any(
-            c.ordinal == want and not c.done for c in self.inputs
-        ):
-            order = [ci for ci in order if self.inputs[ci].ordinal == want]
         self._rr_input += 1
+        order = chain(range(first, n_in), range(first))
+        if now_ms - self.cell.ack >= ACK_INTERVAL_MS:  # some credit grant is due
+            order = [
+                ci for ci in order if due[ci] <= now_ms or now_ms - ack[ci] >= ACK_INTERVAL_MS
+            ]
+        else:
+            order = [ci for ci in order if due[ci] <= now_ms]
+        want = self.processor.wanted_ordinal()
+        if want is not None and any(c.ordinal == want and not c.done for c in inputs):
+            order = [ci for ci in order if inputs[ci].ordinal == want]
+        limit = self.inbox_limit
+        polled_ctl = False
         for ci in order:
-            ch = self.inputs[ci]
-            if ch.done:
-                continue
-            if ch.barrier_seen is not None and self.exactly_once:
-                continue  # aligned channel is blocked until all arrive
-            if not ch.ready(now_ms):
-                continue
-            while len(inbox) < self.inbox_limit:
-                item = ch.poll(now_ms)
+            if len(inbox) >= limit:
+                break  # no later input is polled in this run
+            ch = inputs[ci]
+            poll = ch.poll
+            while len(inbox) < limit:
+                item = poll(now_ms)
                 if item is None:
                     break
                 if isinstance(item, Event):
                     inbox.append((ch.ordinal, item))
-                elif isinstance(item, Watermark):
-                    ch.wm = max(ch.wm, item.value)
-                    break  # handle wm at a batch boundary
+                    continue
+                if isinstance(item, Watermark):
+                    if item.value > ch.wm:
+                        old, ch.wm = ch.wm, item.value
+                        self._leave_low(old)
                 elif isinstance(item, Barrier):
                     ch.barrier_seen = item.snapshot_id
-                    if self.exactly_once:
-                        ch.queue.cell = UNREAD  # blocked until aligned
-                    break
+                    polled_ctl = True
                 elif isinstance(item, EndOfStream):
                     ch.done = True
-                    ch.queue.cell = UNREAD
-                    if all(c.done for c in self.inputs if c.ordinal == ch.ordinal):
+                    polled_ctl = True
+                    self._leave_low(ch.wm)
+                    if all(c.done for c in inputs if c.ordinal == ch.ordinal):
                         self.processor.on_input_done(ch.ordinal)
-                    break
+                break  # handle a control item at a batch boundary
+            if ch.done or (ch.barrier_seen is not None and self.exactly_once):
+                self._detach(ci)  # an aligned input is blocked until all arrive
+            else:
+                due[ci], a = ch.wake_up()
+                if a != ack[ci]:  # a credit grant
+                    ack[ci] = a
+                    self._ack_moved = True
 
         # 3. process data
         if inbox:
@@ -305,19 +346,19 @@ class Tasklet:
                 self.out.push_events(self.processor.process(ev, ordinal))
 
         # 4. control transitions
-        before_wm = self.wm
-        self._maybe_advance_wm()
-        sid = self._barrier_ready()
-        if sid is not None:
-            self._take_snapshot(sid)
+        if self._low > self.wm:
+            self._advance_wm()
             progress = True
-        if not self._finishing and all(c.done for c in self.inputs) and self.inputs:
-            self.out.push_events(self.processor.complete())
-            self.out.push_control(EndOfStream())
-            self._finishing = True
-            progress = True
-        if self.wm > before_wm:
-            progress = True
+        if polled_ctl:
+            sid = self._barrier_ready()
+            if sid is not None:
+                self._take_snapshot(sid)
+                progress = True
+            if not self._finishing and all(c.done for c in inputs) and inputs:
+                self.out.push_events(self.processor.complete())
+                self.out.push_control(EndOfStream())
+                self._finishing = True
+                progress = True
 
         flushed = self.out.flush(now_ms)
         if self._finishing and flushed:

@@ -5,11 +5,11 @@ work."""
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import JetEngine, SimConfig, Worker
-from repro.core.items import Barrier, EndOfStream, Event
+from repro.core.items import WM_MAX, Barrier, EndOfStream, Event, Watermark
 from repro.core.processors import Processor
 from repro.core.queues import ACK_INTERVAL_MS, NetworkChannel, SPSCQueue
 from repro.core.source import SourceTasklet
@@ -148,7 +148,7 @@ STEPS = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.1, 0.5, 2.0, 60.0]),
         st.one_of(st.none(), st.integers(0, 3)),
-        st.sampled_from(["ev", "ev", "barrier", "eos"]),
+        st.sampled_from(["ev", "ev", "wm", "barrier", "eos"]),
     ),
     max_size=40,
 )
@@ -157,16 +157,23 @@ STEPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(kinds=st.lists(st.booleans(), min_size=1, max_size=4), steps=STEPS,
        exactly_once=st.booleans())
+# the input that alone holds the low watermark ends: the low rescans
+@example(kinds=[False, True], steps=[(0.1, 1, "wm"), (0.5, None, "ev"), (0.1, 0, "eos"),
+                                      (0.1, None, "ev")], exactly_once=True)
 def test_wake_cell_matches_per_channel_ready(kinds, steps, exactly_once):
     """Under offers and runs in any order, the cell's idle test equals
-    asking every live, unaligned input whether it is ready."""
+    asking every live, unaligned input whether it is ready; each such
+    input's due slots equal its ``wake_up()`` and every other slot reads
+    inf; and the tasklet's low watermark is the least of the live
+    inputs' watermarks."""
     queues = [NetworkChannel(latency_ms=0.7) if net else SPSCQueue(8) for net in kinds]
     t, w = consumer(queues, exactly_once=exactly_once, inbox_limit=2)
     now = 0.0
     w.run_slice(now)  # a fresh cell says "run me" until the first run
     for dt, ci, kind in steps:
         now += dt
-        item = {"ev": Event("e", 0), "barrier": Barrier(1), "eos": EndOfStream()}[kind]
+        item = {"ev": Event("e", 0), "wm": Watermark(int(now * 10)), "barrier": Barrier(1),
+                "eos": EndOfStream()}[kind]
         if ci is None or ci >= len(queues):  # no such queue: a slice
             w.run_slice(now)
         elif isinstance(queues[ci], NetworkChannel):
@@ -174,7 +181,10 @@ def test_wake_cell_matches_per_channel_ready(kinds, steps, exactly_once):
         else:
             queues[ci].offer(item)
         assert (w.cell.due, w.cell.ack) == (t.cell.due, t.cell.ack)
+        live = [c for c in t.inputs
+                if not c.done and (c.barrier_seen is None or not exactly_once)]
         for at in (now, now + 0.3, now + 0.7, now + 99.0, now + 150.0):
-            live = [c for c in t.inputs
-                    if not c.done and (c.barrier_seen is None or not exactly_once)]
             assert idle(t.cell, at) == (not any(c.ready(at) for c in live))
+        for i, c in enumerate(t.inputs):
+            assert (t._due[i], t._ack[i]) == (c.wake_up() if c in live else (inf, inf))
+        assert t._low == min((c.wm for c in t.inputs if not c.done), default=WM_MAX)

@@ -83,6 +83,31 @@ def test_exactly_once_q5_crash_equals_clean_run(data, q5_clean, fail_ms, victim)
     assert multiset(eng.results(), Q5_COLS) == multiset(q5_clean.results(), Q5_COLS)
 
 
+def test_snapshot_keeps_one_keyed_chunk_per_instance(data, q5_clean):
+    """An instance saves its keyed state as one IMap entry, not one per
+    state key, and recovery from those chunks commits the clean run's
+    rows."""
+    eng = mk_engine(
+        qj.q5_pipeline(size_ms=1_000, slide_ms=250),
+        {"bids": qj.bid_events(data)},
+        guarantee="exactly-once",
+        snapshot_ms=250,
+    )
+    eng.run(fail_at=[(600, 1)])
+    assert eng.metrics.recoveries == 1
+    prefix = f"__snap.{eng.last_complete_sid}."
+    keyed = {
+        name[len(prefix):]: dict(imap.entry_set())
+        for name, imap in eng._imaps.items()
+        if name.startswith(prefix) and name != prefix + "__inst"
+    }
+    assert keyed
+    for vname, chunks in keyed.items():
+        assert set(chunks) <= set(range(eng._n_inst(vname)))
+        assert all(entries for _order, entries in chunks.values())
+    assert multiset(eng.results(), Q5_COLS) == multiset(q5_clean.results(), Q5_COLS)
+
+
 def test_exactly_once_q1_crash_no_loss_no_dup(data):
     clean = mk_engine(
         qj.q1_pipeline(),
@@ -153,7 +178,7 @@ def test_snapshot_maps_are_retained_only_for_the_last_snapshot(data):
             name
             for node in eng.cluster.nodes.values()
             for name in node.storage
-            if name.startswith("__snap.") and name != "__snap.meta"
+            if name.startswith("__snap.")
         }
         runs.append((eng, m, snap_maps))
     (clean, _, _), (crashed, m, snap_maps) = runs
