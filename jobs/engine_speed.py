@@ -2,8 +2,8 @@
 
 Runs Q1, Q5, Q8 and Q13 on 2 nodes × 2 cooperative threads, Q5 at the
 paper's Fig 7 window geometry (10 s window, 10 ms slide), and Q5 at the
-paper's per-node geometry (5 nodes × 12 threads), and prints one JSON
-object: per case, the number of source events the job reads, the median
+paper's per-node geometry (5 and 10 nodes × 12 threads), and prints one
+JSON object: per case, the number of source events the job reads, the median
 wall time of ``JetEngine.run`` over the repeats and the events/s it
 gives.
 
@@ -37,6 +37,10 @@ def _q5_1s_100ms(d):
     return qj.q5_pipeline(size_ms=1_000, slide_ms=100), {"bids": qj.bid_events(d)}
 
 
+def _q5_x12_input():
+    return gen.generate(rate=4_000, duration_s=2.0, n_keys=300, seed=5)
+
+
 #: case -> (input maker, pipeline and sources for that input, repeats,
 #: nodes, threads per node)
 CASES = {
@@ -60,13 +64,8 @@ CASES = {
         2,
         2,
     ),
-    "q5_5x12": (
-        lambda: gen.generate(rate=4_000, duration_s=2.0, n_keys=300, seed=5),
-        _q5_1s_100ms,
-        1,
-        5,
-        12,
-    ),
+    "q5_5x12": (_q5_x12_input, _q5_1s_100ms, 1, 5, 12),
+    "q5_10x12": (_q5_x12_input, _q5_1s_100ms, 1, 10, 12),
 }
 
 

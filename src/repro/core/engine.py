@@ -125,13 +125,9 @@ class Worker:
         tasklet.cell.up = self.cell
 
     def run_slice(self, now_ms: float) -> None:
+        """Charge the idle passes owed, then run one slice. The step loop
+        calls this only when the cell shows work before the slice ends."""
         self.progressed = False
-        cell = self.cell
-        end = now_ms + self.slice_ms
-        if end < cell.due and end - cell.ack < ACK_INTERVAL_MS:
-            # no tasklet can have work at any run time of this slice
-            self.owed += 1
-            return
         if self.owed:
             self.skip_idle_slices(self.owed)
             self.owed = 0
@@ -159,8 +155,8 @@ class Worker:
                 due = c.due
             if c.ack < ack:
                 ack = c.ack
-        cell.due = due
-        cell.ack = ack
+        self.cell.due = due
+        self.cell.ack = ack
 
     def skip_idle_slices(self, n: int) -> None:
         """Account for ``n`` skipped slices in which every run was idle:
@@ -574,7 +570,8 @@ class JetEngine:
             for worker in running:
                 cell = worker.cell
                 if end < cell.due and end - cell.ack < ACK_INTERVAL_MS:
-                    worker.owed += 1  # Worker.run_slice's idle test, inline
+                    # no tasklet can have work at any run time of the slice
+                    worker.owed += 1
                     worker.progressed = False
                 else:
                     worker.run_slice(now)

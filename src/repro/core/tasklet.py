@@ -65,12 +65,9 @@ class InboundChannel:
         self.wm = -1  # highest watermark seen on this channel
         self.done = False
         self.barrier_seen: int | None = None  # sid awaiting alignment
-        #: ``poll(now_ms)``: the queue's own, bound once to save a call
-        #: on the hot path; ``ready(now_ms)`` (True when a poll at
-        #: ``now_ms`` would return an item or grant credits) and
-        #: ``wake_up()`` likewise.
+        #: ``poll(now_ms)`` and ``wake_up()``: the queue's own, bound
+        #: once to save a call on the hot path
         self.poll = queue.poll
-        self.ready = queue.ready
         self.wake_up = queue.wake_up
 
 

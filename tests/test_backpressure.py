@@ -184,7 +184,7 @@ def test_wake_cell_matches_per_channel_ready(kinds, steps, exactly_once):
         live = [c for c in t.inputs
                 if not c.done and (c.barrier_seen is None or not exactly_once)]
         for at in (now, now + 0.3, now + 0.7, now + 99.0, now + 150.0):
-            assert idle(t.cell, at) == (not any(c.ready(at) for c in live))
+            assert idle(t.cell, at) == (not any(c.queue.ready(at) for c in live))
         for i, c in enumerate(t.inputs):
             assert (t._due[i], t._ack[i]) == (c.wake_up() if c in live else (inf, inf))
         assert t._low == min((c.wm for c in t.inputs if not c.done), default=WM_MAX)
